@@ -18,6 +18,7 @@ reported informationally.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import platform
@@ -29,11 +30,14 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 #: v2 added the per-cell ``optimality_gap`` column (beam cost minus the
 #: exhaustive branch-and-bound cost when the bounded exact pass ran to
 #: completion, explicit ``null`` when its node budget was exhausted).
-BENCH_SCHEMA = "repro-bench/v2"
+#: v3 added the per-cell ``program_sha256`` column: the SHA-256 of the
+#: printed vector program, which pins the emitted code byte for byte.
+BENCH_SCHEMA = "repro-bench/v3"
 
 #: Schemas :func:`validate_bench` accepts: current plus still-readable
-#: older revisions (v1 documents simply lack ``optimality_gap``).
-KNOWN_BENCH_SCHEMAS = ("repro-bench/v1", "repro-bench/v2")
+#: older revisions (v1 documents lack ``optimality_gap``, v1 and v2
+#: documents lack ``program_sha256``).
+KNOWN_BENCH_SCHEMAS = ("repro-bench/v1", "repro-bench/v2", "repro-bench/v3")
 
 #: Default node budget for the per-cell exact pass behind
 #: ``optimality_gap``: enough to prove the small/medium kernels optimal,
@@ -169,12 +173,18 @@ def bench_one(kernel_name: str, function, target: str,
         # Number (0.0 = beam proved optimal) or explicit null (exact
         # node budget exhausted / exact pass disabled) — never omitted.
         "optimality_gap": optimality_gap,
+        "program_sha256": program_digest(result.program),
     }
     if verify_status is not None:
         cell["verify"] = verify_status
     if profiler is not None:
         cell["profile"] = _top_profile_entries(profiler, profile_top)
     return cell
+
+
+def program_digest(program) -> str:
+    """SHA-256 (hex) of a vector program's printed form."""
+    return hashlib.sha256(program.dump().encode("utf-8")).hexdigest()
 
 
 def _top_profile_entries(profiler, top: int) -> List[Dict]:
@@ -345,7 +355,8 @@ def validate_bench(doc: Dict) -> None:
     Accepts every schema in :data:`KNOWN_BENCH_SCHEMAS`: v1 documents
     (no ``optimality_gap``) stay loadable as ``--compare`` baselines;
     v2 documents must carry the column in *every* cell — a number or an
-    explicit ``null``, never a silent omission."""
+    explicit ``null``, never a silent omission — and v3 documents must
+    also carry a 64-digit hex ``program_sha256`` in every cell."""
     if not isinstance(doc, dict):
         raise ValueError("bench document must be a JSON object")
     schema = doc.get("schema")
@@ -380,6 +391,15 @@ def validate_bench(doc: Dict) -> None:
                 raise ValueError(
                     f"results[{i}].optimality_gap must be a number "
                     f"or null"
+                )
+        if schema not in ("repro-bench/v1", "repro-bench/v2"):
+            digest = result.get("program_sha256")
+            if not isinstance(digest, str) or len(digest) != 64 or \
+                    digest.strip("0123456789abcdef"):
+                raise ValueError(
+                    f"results[{i}] missing or malformed "
+                    f"'program_sha256' (v3 cells carry the hex SHA-256 "
+                    f"of the printed program)"
                 )
         for name, value in result["phases"].items():
             if not isinstance(name, str) or \
@@ -436,11 +456,14 @@ def compare_bench(old: Dict, new: Dict,
 
     Returns ``(regressions, notes)``: regressions are hard failures
     (cost ratio got worse beyond tolerance, the pack count changed, a
-    kernel stopped vectorizing, or a previously-covered cell
-    disappeared); notes are informational (wall-time deltas, new
-    coverage).  Schema-tolerant: a v1 baseline compares clean against a
-    v2 document — the added ``optimality_gap`` column is ignored here
-    (it never feeds the search, so it cannot regress costs).
+    kernel stopped vectorizing, a previously-covered cell disappeared,
+    or — when both documents carry ``program_sha256`` — the emitted
+    program changed by a single byte); notes are informational
+    (wall-time deltas, new coverage).  Schema-tolerant: v1 and v2
+    baselines compare against v3 documents on the columns both carry —
+    the ``optimality_gap`` column is ignored here (it never feeds the
+    search, so it cannot regress costs) and digests are compared only
+    when both cells have one.
     """
     regressions: List[str] = []
     notes: List[str] = []
@@ -465,6 +488,14 @@ def compare_bench(old: Dict, new: Dict,
             regressions.append(
                 f"{kernel}/{target}: pack count changed "
                 f"{old_r['num_packs']} -> {new_r['num_packs']}"
+            )
+        old_digest = old_r.get("program_sha256")
+        new_digest = new_r.get("program_sha256")
+        if old_digest is not None and new_digest is not None and \
+                old_digest != new_digest:
+            regressions.append(
+                f"{kernel}/{target}: program digest changed "
+                f"{old_digest[:12]} -> {new_digest[:12]}"
             )
         old_ratio = old_r["cost_ratio"]
         new_ratio = new_r["cost_ratio"]

@@ -87,7 +87,8 @@ COUNTER_NAMES = frozenset({
     # producer enumeration (Algorithm 1)
     "producers.cache_hits",       # memoized operand lookups served
     "producers.cache_misses",     # operand enumerations actually run
-    "producers.packs_enumerated",  # producer packs built in total
+    "producers.packs_enumerated",  # producer-table entries enumerated
+    "producers.packs_materialized",  # ComputePack objects built for them
     # pattern matching (§4.3)
     "matcher.table_lookups",      # match-table cell lookups
     "matcher.roots_tried",        # (value, operation) match attempts

@@ -61,7 +61,7 @@ from __future__ import annotations
 import gc
 from dataclasses import dataclass
 from heapq import heappush, heapreplace
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.ir.instructions import Instruction, StoreInst, RetInst
 from repro.ir.values import Argument, Constant
@@ -72,7 +72,7 @@ from repro.vectorizer.pack import (
     OperandVector,
     Pack,
 )
-from repro.vectorizer.producers import producers_for_operand
+from repro.vectorizer.producers import producer_table, producers_for_operand
 from repro.vectorizer.seeds import affinity_seed_tuples, store_seed_packs
 from repro.vectorizer.slp import INFINITY, SLPCostEstimator
 from repro.vidl.interp import DONT_CARE
@@ -85,11 +85,55 @@ _OP_IMMEDIATE = 0
 _OP_BROADCAST = 1
 _OP_REGISTER = 2
 
+#: Producers the state-aware Figure 7 estimate prices per residual
+#: operand: the first this many of its Algorithm-1 producer table, in
+#: enumeration order.
+_ESTIMATE_PRODUCER_CAP = 12
+
 try:
     _bit_count = int.bit_count  # Python >= 3.10: one C call
 except AttributeError:  # pragma: no cover - exercised on 3.9 CI only
     def _bit_count(value: int) -> int:
         return bin(value).count("1")
+
+
+def _keyset_obits_fn(bits_of: Dict[Tuple, int],
+                     memo: Dict[FrozenSet, int]
+                     ) -> Callable[["SearchState"], int]:
+    """``state -> union of its live operands' produced bits`` for the
+    frozenset engine, over its operand-bits table and per-set memo.
+
+    Engines hand these table-only functions to their bound provider
+    instead of a bound method: the provider then holds no reference to
+    the search, and a finished search dies by refcounting."""
+    def state_obits(state: "SearchState") -> int:
+        keys = state.operand_keys
+        bits = memo.get(keys)
+        if bits is None:
+            bits = 0
+            for key in keys:
+                bits |= bits_of[key]
+            memo[keys] = bits
+        return bits
+    return state_obits
+
+
+def _mask_obits_fn(obits_by_id: List[int],
+                   memo: Dict[int, int]) -> Callable[[int], int]:
+    """``operand-id mask -> union of the produced bits of its operands``
+    for the bitset engine, over its dense-id table and per-mask memo."""
+    def mask_obits(mask: int) -> int:
+        bits = memo.get(mask)
+        if bits is None:
+            bits = 0
+            remaining = mask
+            while remaining:
+                bits |= obits_by_id[(remaining & -remaining)
+                                    .bit_length() - 1]
+                remaining &= remaining - 1
+            memo[mask] = bits
+        return bits
+    return mask_obits
 
 
 @dataclass(frozen=True)
@@ -115,7 +159,12 @@ class BeamSearch:
         self.estimator = SLPCostEstimator(ctx)
         dg = ctx.dep_graph
         self._index = dg.index
+        self._index_of = dg._index.get  # id(value) -> index or None
         self._instructions = dg.instructions
+        #: Instruction index -> its bit plus its backward closure: the
+        #: scalar slice each in-block operand lane contributes.
+        self._inst_slices = [closure | (1 << i)
+                             for i, closure in enumerate(dg._closure)]
         self._users_bits = self._compute_users_bits()
         self._operand_registry: Dict[Tuple, OperandVector] = {}
         self._operand_order: Dict[Tuple, int] = {}
@@ -196,9 +245,12 @@ class BeamSearch:
         #: run would have.
         self._warm_bound: Optional[float] = None
         # operand_keys frozenset -> union of operand produced-bits (the
-        # legacy engine's _state_operand_bits; the bitset engine
-        # overrides with its _mask_obits memo).
+        # legacy engine's _state_obits memo; the bitset engine memoizes
+        # per operand-id mask instead).
         self._state_obits_memo: Dict[FrozenSet, int] = {}
+        #: state -> union of the produced-bits of its live operands —
+        #: the instructions some live vector operand still demands.
+        self._state_obits = self._make_state_obits()
         with ctx.tracer.span("seed_enumeration"):
             self._seed_packs = self._enumerate_seed_packs()
         (self._seed_kill_masks, self._seed_dead_mask,
@@ -211,9 +263,11 @@ class BeamSearch:
             )
         #: Admissible lower-bound provider (config.bound="matching");
         #: None ("slp") keeps the pure SLP-heuristic engine as the
-        #: differential oracle.
+        #: differential oracle.  Built over the operand tables, not the
+        #: search, so it never points back at its owner.
         self._lb: Optional[MatchingLowerBound] = (
-            MatchingLowerBound(self) if bound_mode == "matching" else None
+            MatchingLowerBound(ctx, self._state_obits)
+            if bound_mode == "matching" else None
         )
 
     # -- setup -------------------------------------------------------------
@@ -328,18 +382,9 @@ class BeamSearch:
         return [registry[key]
                 for key in self._sorted_keys(state.operand_keys)]
 
-    def _state_operand_bits(self, state: SearchState) -> int:
-        """Union of the produced-bits of a state's live operands — the
-        instructions some live vector operand still demands."""
-        keys = state.operand_keys
-        bits = self._state_obits_memo.get(keys)
-        if bits is None:
-            bits = 0
-            cache = self._operand_bits_cache
-            for key in keys:
-                bits |= cache[key]
-            self._state_obits_memo[keys] = bits
-        return bits
+    def _make_state_obits(self) -> Callable[[SearchState], int]:
+        return _keyset_obits_fn(self._operand_bits_cache,
+                                self._state_obits_memo)
 
     # -- per-pack transition tables ----------------------------------------------------
 
@@ -879,7 +924,8 @@ class BeamSearch:
         if depth <= 0:
             return best, best_bits
         if not self._memoize:
-            for pack in producers_for_operand(residual, self.ctx)[:12]:
+            for pack in producers_for_operand(
+                    residual, self.ctx)[:_ESTIMATE_PRODUCER_CAP]:
                 cost = self.estimator.pack_op_cost(pack)
                 sub_counted = counted
                 for sub in pack.operands():
@@ -894,51 +940,89 @@ class BeamSearch:
                     best = cost
                     best_bits = sub_counted & ~counted
             return best, best_bits
-        # Memoized fast path: the sub-operand loop is _residual_entry +
-        # _operand_estimate inlined, same as the heuristic's operand
-        # loop — semantically identical, two fewer call frames per
-        # sub-operand probe.
+        # Memoized fast path, priced from the producer table (op costs
+        # and interned sub-operands: no Pack objects).  Leaf
+        # sub-operands — most of them — go through _leaf_estimate; the
+        # others through _residual_entry + _operand_estimate inlined,
+        # same as the heuristic's operand loop — semantically
+        # identical, two fewer call frames per sub-operand probe.
         sub_depth = depth - 1
+        leaf_estimate = self._leaf_estimate if sub_depth == 0 else None
         residual_memo = self._residual_memo
         residual_info = self._residual_info
         operand_key_of = self.ctx.operand_key_of
-        pack_op_cost = self.estimator.pack_op_cost
-        for pack in producers_for_operand(residual, self.ctx)[:12]:
-            cost = pack_op_cost(pack)
+        priced = producer_table(residual, self.ctx).priced
+        for cost, subs in priced[:_ESTIMATE_PRODUCER_CAP]:
             sub_counted = counted
-            for sub in pack.operands():
-                entry = residual_memo.get(id(sub))
-                if entry is None:
-                    entry = (sub, self._operand_bits(sub), {})
-                    residual_memo[id(sub)] = entry
-                masked = free & entry[1]
-                triple = entry[2].get(masked)
-                if triple is None:
-                    uncached = self._residual_operand_uncached(sub, free)
-                    rkey = operand_key_of(uncached)
-                    triple = residual_info.get(rkey)
+            for sub in subs:
+                if leaf_estimate is not None:
+                    sub_cost, sub_bits = leaf_estimate(sub, free,
+                                                       sub_counted)
+                else:
+                    entry = residual_memo.get(id(sub))
+                    if entry is None:
+                        entry = (sub, self._operand_bits(sub), {})
+                        residual_memo[id(sub)] = entry
+                    masked = free & entry[1]
+                    triple = entry[2].get(masked)
                     if triple is None:
-                        triple = self._residual_triple(uncached)
-                        residual_info[rkey] = triple
-                    entry[2][masked] = triple
-                sub_raw = triple[2]
-                memo_key = (free & sub_raw, sub_counted & sub_raw,
-                            sub_depth)
-                cached = triple[3].get(memo_key)
-                if cached is None:
-                    cached = self._estimate_residual(
-                        triple[0], triple[1], sub_raw,
-                        free, sub_counted, sub_depth
-                    )
-                    triple[3][memo_key] = cached
-                cost += cached[0]
-                sub_counted |= cached[1]
+                        uncached = self._residual_operand_uncached(sub,
+                                                                   free)
+                        rkey = operand_key_of(uncached)
+                        triple = residual_info.get(rkey)
+                        if triple is None:
+                            triple = self._residual_triple(uncached)
+                            residual_info[rkey] = triple
+                        entry[2][masked] = triple
+                    sub_raw = triple[2]
+                    memo_key = (free & sub_raw, sub_counted & sub_raw,
+                                sub_depth)
+                    cached = triple[3].get(memo_key)
+                    if cached is None:
+                        cached = self._estimate_residual(
+                            triple[0], triple[1], sub_raw,
+                            free, sub_counted, sub_depth
+                        )
+                        triple[3][memo_key] = cached
+                    sub_cost, sub_bits = cached
+                cost += sub_cost
+                sub_counted |= sub_bits
                 if cost >= best:
                     break
             if cost < best:
                 best = cost
                 best_bits = sub_counted & ~counted
         return best, best_bits
+
+    def _leaf_estimate(self, operand: OperandVector, free: int,
+                       counted: int):
+        """``_operand_estimate(operand, free, counted, depth=0)`` without
+        the residual.  A leaf needs only the residual's real-lane count
+        and slice bits, which the operand's lanes give directly through
+        the per-instruction slice table: no residual tuple, operand key
+        or memo triple is built.  Leaves are not memoized: a memo on
+        ``free & operand bits`` missed on 97.5% of leaf lookups on
+        dsp_sbc/neon128, the heaviest bench cell."""
+        index_of = self._index_of
+        slices = self._inst_slices
+        real = 0
+        raw = 0
+        for element in operand:
+            if element is DONT_CARE:
+                continue
+            i = index_of(id(element))
+            if i is None:
+                if not isinstance(element, (Constant, Argument)):
+                    real += 1  # stays in every residual
+            elif (free >> i) & 1:
+                real += 1
+                raw |= slices[i]
+        slice_bits = raw & free
+        cost = self.model.c_insert * real + self.estimator.cost_of_bits(
+            slice_bits & ~counted)
+        if real == 0:
+            return min(cost, self.model.c_vector_const), 0
+        return cost, slice_bits
 
     def _residual_entry(self, operand: OperandVector,
                         free_bits: int) -> Tuple:
@@ -1435,7 +1519,8 @@ class BitsetBeamSearch(BeamSearch):
         # per-mask caches (contents are functions of the mask alone);
         # masks repeat heavily across heuristic/completion/expand calls.
         self._live_ops_memo: Dict[int, List[OperandVector]] = {}
-        self._mask_obits_memo: Dict[int, int] = {}
+        #: Union of the produced-bits of every operand id in a mask.
+        self._mask_obits = _mask_obits_fn(self._obits_by_id, {})
         super().__init__(ctx)
         # No operand is registered during base setup (seed enumeration
         # only touches feasibility tables); sized now that the
@@ -1482,22 +1567,9 @@ class BitsetBeamSearch(BeamSearch):
             self._live_ops_memo[mask] = ops
         return ops
 
-    def _mask_obits(self, mask: int) -> int:
-        """Union of the produced-bits of every operand id in a mask."""
-        bits = self._mask_obits_memo.get(mask)
-        if bits is None:
-            bits = 0
-            obits_by_id = self._obits_by_id
-            remaining = mask
-            while remaining:
-                bits |= obits_by_id[(remaining & -remaining)
-                                    .bit_length() - 1]
-                remaining &= remaining - 1
-            self._mask_obits_memo[mask] = bits
-        return bits
-
-    def _state_operand_bits(self, state: SearchState) -> int:
-        return self._mask_obits(state.operand_keys)
+    def _make_state_obits(self) -> Callable[[SearchState], int]:
+        mask_obits = self._mask_obits
+        return lambda state: mask_obits(state.operand_keys)
 
     # -- states and transitions --------------------------------------------
 
@@ -1811,7 +1883,7 @@ def _dominance_cut(search: BeamSearch, dom: Dict, state: SearchState,
     (fewer shuffle/insert terms, identical drops).  Undominated states
     are remembered (capped) for later children of the class."""
     v = state.operand_keys
-    obits = search._state_operand_bits(state) & state.free_bits
+    obits = search._state_obits(state) & state.free_bits
     key = (state.scalar_bits, state.free_bits)
     entries = dom.get(key)
     if entries is None:
@@ -1843,12 +1915,17 @@ def select_packs(ctx: VectorizationContext) -> Tuple[List[Pack], float]:
     incumbent, so never worse), ``warm_start`` consults the
     content-addressed cost cache for an early-stop/prune bound.
 
-    The cyclic garbage collector is paused for the duration of the
-    search: the search allocates millions of short-lived tuples and
-    packs, and generation-0 scans were measured at ~15-25% of search
-    wall time on the heaviest kernels.  Pausing changes nothing about
-    the result — only when cyclic garbage is reclaimed — and the
-    collector is restored (and left to catch up) on exit."""
+    Allocation discipline: the cyclic garbage collector is paused for
+    the duration of the search, which allocates millions of
+    short-lived tuples, states and memo entries (generation-0 scans
+    were measured at ~15-25% of search wall time on the heaviest
+    kernels).  None of it is cyclic garbage: the search owns its
+    estimator, bound provider and memos, and none of them refers back
+    to the search.  So the search's whole working set — the search
+    object, its memos, and the search-only caches on the context
+    (:meth:`VectorizationContext.release_search_caches`) — is freed by
+    refcounting before the collector is re-enabled, and no collection
+    ever has to trace it.  Pausing changes nothing about the result."""
     config = ctx.config
     counters = ctx.counters
     warm_cache = None
@@ -1867,41 +1944,57 @@ def select_packs(ctx: VectorizationContext) -> Tuple[List[Pack], float]:
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        if config.bitset:
-            counters.inc("beam.bitset_runs")
-            search: BeamSearch = BitsetBeamSearch(ctx)
-        else:
-            search = BeamSearch(ctx)
-        if warm_entry is not None:
-            search._warm_bound = warm_entry[0]
-        solved = search.run(config.beam_width)
-        proved = False
-        if config.exact and solved is not None:
-            counters.inc("beam.exact_runs")
-            # Warm bound only when the cached cost carries an optimality
-            # proof: pruning at an unproved (budget-truncated) cost
-            # could steer a budget-truncated rerun to a different
-            # incumbent, breaking warm/cold identity.
-            exact_bound = warm_entry[0] \
-                if warm_entry is not None and warm_entry[1] else None
-            beam_g = solved.g
-            solved, proved, nodes = exhaustive_search(
-                search,
-                incumbent=solved,
-                bound=exact_bound,
-                node_budget=config.exact_node_budget,
-                counters=counters,
-            )
-            counters.inc("beam.exact_nodes", nodes)
-            counters.inc("beam.exact_proved" if proved
-                         else "beam.exact_budget_exhausted")
-            if solved.g < beam_g:
-                counters.inc("beam.exact_improvements")
+        # The search lives only in _run_search's frame: by the time it
+        # returns, every object the search allocated is freed.
+        solved = _run_search(ctx, warm_entry)
     finally:
+        ctx.release_search_caches()
         if was_enabled:
             gc.enable()
     if solved is None:
         return [], INFINITY
+    packs, cost, proved = solved
     if warm_cache is not None:
-        warm_cache.put(warm_cache_key, solved.g, proved)
-    return list(solved.packs), solved.g
+        warm_cache.put(warm_cache_key, cost, proved)
+    return list(packs), cost
+
+
+def _run_search(ctx: VectorizationContext, warm_entry
+                ) -> Optional[Tuple[Tuple[Pack, ...], float, bool]]:
+    """The beam (plus the exact pass when configured) on a fresh search;
+    ``(packs, cost, proved)`` of the selected state, or None."""
+    config = ctx.config
+    counters = ctx.counters
+    if config.bitset:
+        counters.inc("beam.bitset_runs")
+        search: BeamSearch = BitsetBeamSearch(ctx)
+    else:
+        search = BeamSearch(ctx)
+    if warm_entry is not None:
+        search._warm_bound = warm_entry[0]
+    solved = search.run(config.beam_width)
+    proved = False
+    if config.exact and solved is not None:
+        counters.inc("beam.exact_runs")
+        # Warm bound only when the cached cost carries an optimality
+        # proof: pruning at an unproved (budget-truncated) cost could
+        # steer a budget-truncated rerun to a different incumbent,
+        # breaking warm/cold identity.
+        exact_bound = warm_entry[0] \
+            if warm_entry is not None and warm_entry[1] else None
+        beam_g = solved.g
+        solved, proved, nodes = exhaustive_search(
+            search,
+            incumbent=solved,
+            bound=exact_bound,
+            node_budget=config.exact_node_budget,
+            counters=counters,
+        )
+        counters.inc("beam.exact_nodes", nodes)
+        counters.inc("beam.exact_proved" if proved
+                     else "beam.exact_budget_exhausted")
+        if solved.g < beam_g:
+            counters.inc("beam.exact_improvements")
+    if solved is None:
+        return None
+    return solved.packs, solved.g, proved

@@ -106,7 +106,7 @@ order.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Tuple, Type
+from typing import Callable, Dict, List, Tuple, Type
 
 from repro.ir.instructions import (
     Instruction,
@@ -128,11 +128,16 @@ class MatchingLowerBound:
     Construction precomputes the per-instruction charge tables and the
     forced-closure bitsets from registration-time data (dependence
     graph, match table, target ISA); :meth:`bound` is then pure bitmask
-    arithmetic plus memoized chunk sums."""
+    arithmetic plus memoized chunk sums.
 
-    def __init__(self, search):
-        self.search = search
-        ctx = search.ctx
+    ``state_obits`` maps a search state to the union of its live
+    operands' produced bits — a plain function over the engine's
+    operand tables.  The search owns its bound and the bound holds no
+    reference back to the search, so a finished search is freed by
+    refcounting rather than left for the cyclic collector."""
+
+    def __init__(self, ctx, state_obits: Callable[[object], int]):
+        self._state_obits = state_obits
         self.counters = ctx.counters
         model = ctx.cost_model
         dg = ctx.dep_graph
@@ -379,7 +384,7 @@ class MatchingLowerBound:
     def bound(self, state) -> float:
         """Admissible lower bound on the state's completion cost."""
         free = state.free_bits
-        obits = self.search._state_operand_bits(state) & free
+        obits = self._state_obits(state) & free
         s_bits = state.scalar_bits & free
         core = s_bits | obits
         if not core:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.ir.dag import DependenceGraph
 from repro.ir.function import Function
@@ -221,7 +221,16 @@ class VectorizationContext:
             self.match_table = MatchTable(function,
                                           target.operation_index,
                                           counters=self.counters)
-        self._producer_cache: Dict[Tuple, List] = {}
+        # The search-only caches below are what pack selection hangs on
+        # the context; release_search_caches() drops them all once
+        # select_packs is done, so they die by refcounting.
+        #
+        # operand key -> ProducerList (repro.vectorizer.producers).
+        self._producer_cache: Dict[Tuple, object] = {}
+        # Producer sub-operands interned by content (tuple equality is
+        # element identity): one tuple object per distinct sub-operand,
+        # so id-keyed memos downstream share entries across producers.
+        self._interned_operands: Dict[Tuple, Tuple] = {}
         # id-keyed operand_key cache.  Operand tuples are overwhelmingly
         # stable objects (precomputed on cached Pack instances, interned
         # in the beam's operand registry and residual memo), so keying by
@@ -243,6 +252,15 @@ class VectorizationContext:
         # feasible plan entries in O(lanes) dict probes instead of
         # probing the match table per (instruction, lane) cell.
         self._shape_indexes: Dict[Tuple, Tuple] = {}
+
+    def release_search_caches(self) -> None:
+        """Drop the caches only pack selection reads (producer tables,
+        interned operands, operand keys, shape plans)."""
+        self._producer_cache = {}
+        self._interned_operands = {}
+        self._operand_key_cache = {}
+        self._shape_plans = {}
+        self._shape_indexes = {}
 
     def shape_plan(self, lanes: int, elem_type) -> Tuple:
         """(vinst, signature) pairs for one operand shape, cached."""

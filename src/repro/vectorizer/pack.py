@@ -92,6 +92,84 @@ class Pack:
         return {id(v) for v in self.values() if v is not None}
 
 
+def compute_pack_lanes(inst: TargetInstruction,
+                       matches: Tuple[Optional[Match], ...]
+                       ) -> Tuple[Tuple[Optional[Value], ...],
+                                  List[OperandVector]]:
+    """``(values, operands)`` of the compute pack ``(inst, matches)``.
+
+    Raises :class:`InvalidPack` when the matches cannot form a pack;
+    producer enumeration calls this directly to validate and price a
+    pack without building the object."""
+    # One pass builds the lane values and checks both lane invariants:
+    # at least one real lane, and every scalar produced by exactly one
+    # pack lane (a pack whose lanes repeat a live-out would compute the
+    # same value twice and has no consistent lowering — codegen maps
+    # value -> (pack, lane)).
+    values: List[Optional[Value]] = []
+    produced: List[int] = []
+    for m in matches:
+        if m is None:
+            values.append(None)
+        else:
+            live_out = m.live_out
+            values.append(live_out)
+            produced.append(id(live_out))
+    if not produced:
+        raise InvalidPack(f"{inst.name}: all lanes are don't-care")
+    if len(produced) > 1 and len(set(produced)) != len(produced):
+        raise InvalidPack(
+            f"{inst.name}: the same value is produced by two lanes"
+        )
+    # Driven by the desc's flat lane-consumer plan (built once per
+    # instruction description): the single-consumer "simple" inputs
+    # read their bound value directly, the "general" ones replicate the
+    # per-lane consistency check of multi-consumer bindings.
+    operands: List[OperandVector] = []
+    for input_index, (kind, lanes_plan) in \
+            enumerate(inst.desc.pack_plan()):
+        if kind == "simple":
+            operands.append(tuple([
+                DONT_CARE if entry is None
+                or (match := matches[entry[0]]) is None
+                else match.live_ins[entry[1]]
+                for entry in lanes_plan
+            ]))
+            continue
+        general: List[OperandElement] = []
+        for lane_index, consumers in enumerate(lanes_plan):
+            chosen: Optional[Value] = None
+            for out_lane, param_pos in consumers:
+                match = matches[out_lane]
+                if match is None:
+                    continue
+                value = match.live_ins[param_pos]
+                if chosen is None:
+                    chosen = value
+                elif chosen is not value and \
+                        not constants_equal(chosen, value):
+                    raise InvalidPack(
+                        f"{inst.name}: input lane "
+                        f"x{input_index}[{lane_index}] bound to two "
+                        f"different values"
+                    )
+            general.append(chosen if chosen is not None else DONT_CARE)
+        operands.append(tuple(general))
+    return tuple(values), operands
+
+
+def compute_pack_key(inst: TargetInstruction,
+                     values: Sequence[Optional[Value]],
+                     operands: Sequence[OperandVector]) -> Tuple:
+    """:meth:`Pack.key` of a compute pack, from its lanes alone."""
+    return (
+        "compute",
+        inst.name,
+        tuple(id(v) if v is not None else None for v in values),
+        tuple(operand_key(op) for op in operands),
+    )
+
+
 class ComputePack(Pack):
     """A pack of matched operations lowered to one target instruction."""
 
@@ -107,67 +185,7 @@ class ComputePack(Pack):
             )
         self.inst = inst
         self.matches = matches = tuple(matches)
-        # One pass builds the lane values and checks both lane
-        # invariants: at least one real lane, and every scalar produced
-        # by exactly one pack lane (a pack whose lanes repeat a live-out
-        # would compute the same value twice and has no consistent
-        # lowering — codegen maps value -> (pack, lane)).
-        values: List[Optional[Value]] = []
-        produced: List[int] = []
-        for m in matches:
-            if m is None:
-                values.append(None)
-            else:
-                live_out = m.live_out
-                values.append(live_out)
-                produced.append(id(live_out))
-        if not produced:
-            raise InvalidPack(f"{inst.name}: all lanes are don't-care")
-        if len(produced) > 1 and len(set(produced)) != len(produced):
-            raise InvalidPack(
-                f"{inst.name}: the same value is produced by two lanes"
-            )
-        self._values = tuple(values)
-        self._operands = self._compute_operands()
-
-    def _compute_operands(self) -> List[OperandVector]:
-        # Driven by the desc's flat lane-consumer plan (built once per
-        # instruction description): the single-consumer "simple" inputs
-        # read their bound value directly, the "general" ones replicate
-        # the per-lane consistency check of multi-consumer bindings.
-        matches = self.matches
-        operands: List[OperandVector] = []
-        for input_index, (kind, lanes_plan) in \
-                enumerate(self.inst.desc.pack_plan()):
-            if kind == "simple":
-                lanes = tuple(
-                    DONT_CARE if entry is None
-                    or (match := matches[entry[0]]) is None
-                    else match.live_ins[entry[1]]
-                    for entry in lanes_plan
-                )
-                operands.append(lanes)
-                continue
-            general: List[OperandElement] = []
-            for lane_index, consumers in enumerate(lanes_plan):
-                chosen: Optional[Value] = None
-                for out_lane, param_pos in consumers:
-                    match = matches[out_lane]
-                    if match is None:
-                        continue
-                    value = match.live_ins[param_pos]
-                    if chosen is None:
-                        chosen = value
-                    elif chosen is not value and \
-                            not constants_equal(chosen, value):
-                        raise InvalidPack(
-                            f"{self.inst.name}: input lane "
-                            f"x{input_index}[{lane_index}] bound to two "
-                            f"different values"
-                        )
-                general.append(chosen if chosen is not None else DONT_CARE)
-            operands.append(tuple(general))
-        return operands
+        self._values, self._operands = compute_pack_lanes(inst, matches)
 
     def values(self) -> Tuple[Optional[Value], ...]:
         return self._values
@@ -184,12 +202,7 @@ class ComputePack(Pack):
         return covered
 
     def _compute_key(self) -> Tuple:
-        return (
-            "compute",
-            self.inst.name,
-            tuple(id(v) if v is not None else None for v in self._values),
-            tuple(operand_key(op) for op in self._operands),
-        )
+        return compute_pack_key(self.inst, self._values, self._operands)
 
     def __repr__(self) -> str:
         names = [v.short_name() if v is not None else "_"

@@ -32,7 +32,7 @@ from repro.vectorizer.pack import (
     Pack,
     operand_key,
 )
-from repro.vectorizer.producers import producers_for_operand
+from repro.vectorizer.producers import producer_table
 from repro.vidl.interp import DONT_CARE
 
 INFINITY = math.inf
@@ -43,7 +43,10 @@ class SLPCostEstimator:
         self.ctx = ctx
         self.model = ctx.cost_model
         self._memo: Dict[Tuple, float] = {}
-        self._choice: Dict[Tuple, Optional[Pack]] = {}
+        # operand key -> (producer table, entry index) of the chosen
+        # producer, or None for the insert/scalar path; the pack object
+        # is only built when best_producer asks for it.
+        self._choice: Dict[Tuple, Optional[Tuple]] = {}
         self._in_progress: set = set()
         # Per-instruction scalar cost vector, aligned with the dependence
         # graph's instruction indexing.
@@ -174,7 +177,7 @@ class SLPCostEstimator:
         return cost
 
     def _solve(self, operand: OperandVector
-               ) -> Tuple[float, Optional[Pack]]:
+               ) -> Tuple[float, Optional[Tuple]]:
         real = [v for v in operand
                 if v is not DONT_CARE and v.__class__ is not Constant]
         if not real:
@@ -195,23 +198,19 @@ class SLPCostEstimator:
         elif runs == 2:
             best = min(best, 2 * model.c_vector_load
                        + model.c_two_source_shuffle)
-        best_pack: Optional[Pack] = None
-        producers = producers_for_operand(operand, self.ctx)
-        if producers:
+        best_index = None
+        # Priced from the producer table: op costs and interned
+        # sub-operands, no Pack objects.
+        table = producer_table(operand, self.ctx)
+        if table.priced:
             # The recursion's memo probe, inlined: a solved sub-operand
             # costs two dict lookups instead of a frame (the Figure 7
             # recurrence revisits the same sub-operands constantly once
             # the rollout policy queries it per beam state).
             memo_get = self._memo.get
             key_of = self.ctx.operand_key_of
-            load_cost = model.c_vector_load
-            store_cost = model.c_vector_store
-            for pack in producers:
-                cls = pack.__class__
-                cost = (pack.inst.cost if cls is ComputePack
-                        else load_cost if cls is LoadPack
-                        else store_cost)
-                for sub in pack.operands():
+            for index, (cost, subs) in enumerate(table.priced):
+                for sub in subs:
                     sub_cost = memo_get(key_of(sub))
                     if sub_cost is None:
                         sub_cost = self.cost_slp(sub)
@@ -220,14 +219,18 @@ class SLPCostEstimator:
                         break
                 if cost < best:
                     best = cost
-                    best_pack = pack
-        return best, best_pack
+                    best_index = index
+        return best, (None if best_index is None else (table, best_index))
 
     def best_producer(self, operand: OperandVector) -> Optional[Pack]:
         """The pack chosen by the Figure 7 recurrence (None = insert/scalar
         path)."""
         self.cost_slp(operand)
-        return self._choice.get(self.ctx.operand_key_of(operand))
+        choice = self._choice.get(self.ctx.operand_key_of(operand))
+        if choice is None:
+            return None
+        table, index = choice
+        return table.pack(index, self.ctx)
 
 
 def _contiguous_load_runs(values, dep_graph) -> int:

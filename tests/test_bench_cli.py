@@ -107,6 +107,25 @@ class TestValidateBench:
         with pytest.raises(ValueError, match="optimality_gap"):
             validate_bench(doc)
 
+    def test_v3_requires_program_digest_in_every_cell(self, small_bench):
+        doc = copy.deepcopy(small_bench)
+        del doc["results"][0]["program_sha256"]
+        with pytest.raises(ValueError, match="program_sha256"):
+            validate_bench(doc)
+        doc["results"][0]["program_sha256"] = "not-a-digest"
+        with pytest.raises(ValueError, match="program_sha256"):
+            validate_bench(doc)
+
+    def test_v2_baseline_without_digests_still_compares_clean(
+            self, small_bench):
+        doc = copy.deepcopy(small_bench)
+        doc["schema"] = "repro-bench/v2"
+        for result in doc["results"]:
+            del result["program_sha256"]
+        validate_bench(doc)  # must not raise
+        regressions, _ = compare_bench(doc, small_bench)
+        assert regressions == []
+
     def test_v1_baseline_without_gap_column_still_loads(self,
                                                         small_bench):
         """The committed pre-v2 trajectory must stay usable as a
@@ -162,6 +181,29 @@ class TestCompareBench:
         regressions, notes = compare_bench(small_bench, better)
         assert regressions == []
         assert any("improved" in n for n in notes)
+
+    def test_program_digest_change_is_a_regression(self, small_bench):
+        changed = copy.deepcopy(small_bench)
+        cell = changed["results"][0]
+        cell["program_sha256"] = "0" * 64
+        regressions, _ = compare_bench(small_bench, changed)
+        assert len(regressions) == 1
+        assert "program digest changed" in regressions[0]
+        assert cell["kernel"] in regressions[0]
+
+    def test_program_digest_is_the_printed_program_hash(self,
+                                                        small_bench):
+        import hashlib
+
+        from repro.kernels import all_kernels
+        from repro.session import VectorizationSession
+
+        cell = next(r for r in small_bench["results"]
+                    if r["kernel"] == "complex_mul")
+        result = VectorizationSession(target="sse4", beam_width=2) \
+            .vectorize(all_kernels()["complex_mul"])
+        assert cell["program_sha256"] == hashlib.sha256(
+            result.program.dump().encode("utf-8")).hexdigest()
 
     def test_tolerance_absorbs_small_drift(self, small_bench):
         drifted = copy.deepcopy(small_bench)
