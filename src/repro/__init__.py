@@ -54,78 +54,67 @@ Quick start::
     print(result.program.dump())       # uses pmaddwd
 """
 
-from typing import TYPE_CHECKING
+import importlib
+import sys
+from typing import TYPE_CHECKING, Callable, List, Mapping, Sequence, Tuple
 
 __version__ = "1.0.0"
 
-# Public name -> defining submodule.  Imports are deferred (PEP 562): a
-# bare ``import repro`` stays cheap, and tools that only need, say, the
-# frontend never pay for the target-description build.
-_EXPORTS = {
-    "baseline_vectorize": "repro.baseline",
-    "get_baseline_target": "repro.baseline",
-    "compile_c": "repro.frontend",
-    "compile_kernel": "repro.frontend",
-    "Buffer": "repro.ir",
-    "Function": "repro.ir",
-    "IRBuilder": "repro.ir",
-    "parse_function": "repro.ir",
-    "print_function": "repro.ir",
-    "run_function": "repro.ir",
-    "verify_function": "repro.ir",
-    "CostModel": "repro.machine",
-    "program_cost": "repro.machine",
-    "run_program": "repro.machine",
-    "scalar_function_cost": "repro.machine",
-    "speedup": "repro.machine",
-    "TargetDesc": "repro.target",
-    "TargetInstruction": "repro.target",
-    "available_targets": "repro.target",
-    "build_instruction": "repro.target",
-    "clear_caches": "repro.target",
-    "generate_artifact": "repro.target",
-    "get_target": "repro.target",
-    "load_artifact": "repro.target",
-    "write_artifact": "repro.target",
-    "PassPipeline": "repro.passes",
-    "available_passes": "repro.passes",
-    "build_pipeline": "repro.passes",
-    "VectorizationSession": "repro.session",
-    "vectorize_many": "repro.session",
-    "AnalysisManager": "repro.analysis",
-    "Diagnostic": "repro.analysis",
-    "SanitizerError": "repro.analysis",
-    "analyze_result": "repro.analysis",
-    "Counters": "repro.obs",
-    "Tracer": "repro.obs",
-    "compare_bench": "repro.obs",
-    "load_bench": "repro.obs",
-    "run_bench": "repro.obs",
-    "write_bench": "repro.obs",
-    "VectorizationResult": "repro.vectorizer",
-    "VectorizerConfig": "repro.vectorizer",
-    "scalar_program": "repro.vectorizer",
-    "vectorize": "repro.vectorizer",
-}
 
-__all__ = list(_EXPORTS) + ["__version__"]
+def _lazy_exports(package: str, exports: Mapping[str, Sequence[str]]
+                  ) -> Tuple[Callable[[str], object],
+                             Callable[[], List[str]], List[str]]:
+    """PEP 562 lazy exports for a package: ``exports`` maps each
+    defining submodule (relative to ``package``) to the public names it
+    provides.  Returns the package's ``__getattr__``, ``__dir__`` and
+    ``__all__``.
+
+    Importing the package imports none of its submodules; a name's
+    defining module is imported on first access and the value cached in
+    the package namespace.  So ``import repro`` stays cheap, and a
+    compile-time caller never pays for the offline generator behind a
+    sibling export (DESIGN.md §10).
+    """
+    owner = {name: module for module, names in exports.items()
+             for name in names}
+
+    def __getattr__(name: str):
+        module = owner.get(name)
+        if module is None:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}"
+            )
+        value = getattr(importlib.import_module("." + module, package),
+                        name)
+        setattr(sys.modules[package], name, value)  # once per name
+        return value
+
+    def __dir__() -> List[str]:
+        return sorted(set(vars(sys.modules[package])) | set(owner))
+
+    return __getattr__, __dir__, list(owner)
 
 
-def __getattr__(name: str):
-    module_name = _EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        )
-    import importlib
-
-    value = getattr(importlib.import_module(module_name), name)
-    globals()[name] = value  # cache: __getattr__ runs once per name
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_EXPORTS))
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "baseline": ("baseline_vectorize", "get_baseline_target"),
+    "frontend": ("compile_c", "compile_kernel"),
+    "ir": ("Buffer", "Function", "IRBuilder", "parse_function",
+           "print_function", "run_function", "verify_function"),
+    "machine": ("CostModel", "program_cost", "run_program",
+                "scalar_function_cost", "speedup"),
+    "target": ("TargetDesc", "TargetInstruction", "available_targets",
+               "build_instruction", "clear_caches", "generate_artifact",
+               "get_target", "load_artifact", "write_artifact"),
+    "passes": ("PassPipeline", "available_passes", "build_pipeline"),
+    "session": ("VectorizationSession", "vectorize_many"),
+    "analysis": ("AnalysisManager", "Diagnostic", "SanitizerError",
+                 "analyze_result"),
+    "obs": ("Counters", "Tracer", "compare_bench", "load_bench",
+            "run_bench", "write_bench"),
+    "vectorizer": ("VectorizationResult", "VectorizerConfig",
+                   "scalar_program", "vectorize"),
+})
+__all__.append("__version__")
 
 
 if TYPE_CHECKING:  # pragma: no cover - static analysis only

@@ -24,7 +24,7 @@ class LaneSan(AnalysisPass):
     def run(self, unit: AnalysisUnit) -> List[Diagnostic]:
         from repro.ir.values import constants_equal
         from repro.vectorizer.pack import ComputePack
-        from repro.vidl.interp import DONT_CARE
+        from repro.vidl.ast import DONT_CARE
 
         diagnostics: List[Diagnostic] = []
         fn_name = getattr(unit.function, "name", "<function>")

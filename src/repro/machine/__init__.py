@@ -1,25 +1,11 @@
 """Machine model: cost estimation (§6.2) and differential execution of
 vector programs against the scalar interpreter."""
 
-from repro.machine.costs import CostModel, classify_gather, gather_cost
-from repro.machine.exec import MachineExecError, run_program
-from repro.machine.model import (
-    ProgramCost,
-    node_cost,
-    program_cost,
-    scalar_function_cost,
-    speedup,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "CostModel",
-    "classify_gather",
-    "gather_cost",
-    "MachineExecError",
-    "run_program",
-    "ProgramCost",
-    "node_cost",
-    "program_cost",
-    "scalar_function_cost",
-    "speedup",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "costs": ("CostModel", "classify_gather", "gather_cost"),
+    "exec": ("MachineExecError", "run_program"),
+    "model": ("ProgramCost", "node_cost", "program_cost",
+              "scalar_function_cost", "speedup"),
+})

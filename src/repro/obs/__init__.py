@@ -24,52 +24,14 @@ bundled kernel × target matrix with observability on and writes the
 ``BENCH_vegen.json`` perf trajectory.
 """
 
-from repro.obs.bench import (
-    BENCH_SCHEMA,
-    DEFAULT_BEAM_WIDTH,
-    DEFAULT_BENCH_PATH,
-    DEFAULT_TARGETS,
-    bench_one,
-    compare_bench,
-    load_bench,
-    render_bench_summary,
-    run_bench,
-    validate_bench,
-    write_bench,
-)
-from repro.obs.counters import (
-    COUNTER_NAMES,
-    Counters,
-    NULL_COUNTERS,
-    NullCounters,
-)
-from repro.obs.trace import (
-    NULL_TRACER,
-    NullTracer,
-    SPAN_NAMES,
-    Span,
-    Tracer,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "BENCH_SCHEMA",
-    "COUNTER_NAMES",
-    "Counters",
-    "DEFAULT_BEAM_WIDTH",
-    "DEFAULT_BENCH_PATH",
-    "DEFAULT_TARGETS",
-    "NULL_COUNTERS",
-    "NULL_TRACER",
-    "NullCounters",
-    "NullTracer",
-    "SPAN_NAMES",
-    "Span",
-    "Tracer",
-    "bench_one",
-    "compare_bench",
-    "load_bench",
-    "render_bench_summary",
-    "run_bench",
-    "validate_bench",
-    "write_bench",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "bench": ("BENCH_SCHEMA", "DEFAULT_BEAM_WIDTH", "DEFAULT_BENCH_PATH",
+              "DEFAULT_TARGETS", "bench_one", "compare_bench",
+              "load_bench", "render_bench_summary", "run_bench",
+              "validate_bench", "write_bench"),
+    "counters": ("COUNTER_NAMES", "Counters", "NULL_COUNTERS",
+                 "NullCounters"),
+    "trace": ("NULL_TRACER", "NullTracer", "SPAN_NAMES", "Span", "Tracer"),
+})

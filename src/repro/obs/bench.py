@@ -26,6 +26,10 @@ import sys
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+# Re-exported: the gap pass's node budget lives next to the exact
+# pass's so the CLI parser can read both without importing the harness.
+from repro.vectorizer.context import DEFAULT_GAP_NODE_BUDGET
+
 #: Schema identifier; bump on any breaking change to the document shape.
 #: v2 added the per-cell ``optimality_gap`` column (beam cost minus the
 #: exhaustive branch-and-bound cost when the bounded exact pass ran to
@@ -38,17 +42,6 @@ BENCH_SCHEMA = "repro-bench/v3"
 #: older revisions (v1 documents lack ``optimality_gap``, v1 and v2
 #: documents lack ``program_sha256``).
 KNOWN_BENCH_SCHEMAS = ("repro-bench/v1", "repro-bench/v2", "repro-bench/v3")
-
-#: Default node budget for the per-cell exact pass behind
-#: ``optimality_gap``: enough to prove the small/medium kernels optimal,
-#: bounded so the heavy cells (dsp_idct8, dsp_sbc) report ``null`` in
-#: seconds instead of minutes.  This is the *quick probe* budget; the
-#: *proof* budget for targeted single-kernel runs is
-#: :data:`repro.vectorizer.context.DEFAULT_EXACT_NODE_BUDGET` (8x
-#: larger, the ``repro vectorize --exact`` default) — the two are
-#: deliberately distinct because the bench pass runs 132 cells and the
-#: proof path runs one.
-DEFAULT_GAP_NODE_BUDGET = 50000
 
 #: The default benchmark target matrix (§7 evaluates the x86 ISAs;
 #: neon128 is the second-family generator proof).

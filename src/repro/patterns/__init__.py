@@ -1,26 +1,12 @@
 """Offline pattern generation and compile-time pattern matching
 (§4.2, §4.3, §6)."""
 
-from repro.patterns.canonicalize import (
-    canonicalize_function,
-    canonicalize_operation,
-)
-from repro.patterns.match_table import MatchTable, OperationIndex
-from repro.patterns.matcher import Match, match_operation
-from repro.patterns.roundtrip import (
-    RoundTripError,
-    function_to_operation,
-    operation_to_function,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "canonicalize_function",
-    "canonicalize_operation",
-    "MatchTable",
-    "OperationIndex",
-    "Match",
-    "match_operation",
-    "RoundTripError",
-    "function_to_operation",
-    "operation_to_function",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "canonicalize": ("canonicalize_function", "canonicalize_operation"),
+    "match_table": ("MatchTable", "OperationIndex"),
+    "matcher": ("Match", "match_operation"),
+    "roundtrip": ("RoundTripError", "function_to_operation",
+                  "operation_to_function"),
+})

@@ -311,12 +311,14 @@ def validate_artifact(doc: Dict, check_fresh: bool = False) -> None:
         raise ArtifactError(
             f"artifact entries neither built nor unliftable: {missing}"
         )
-    if check_fresh and doc["spec_hash"] != spec_content_hash():
-        raise ArtifactError(
-            "artifact is stale: spec inventory changed since generation "
-            f"(artifact hash {doc['spec_hash'][:12]}..., current "
-            f"{spec_content_hash()[:12]}...)"
-        )
+    if check_fresh:
+        current = spec_content_hash()
+        if doc["spec_hash"] != current:
+            raise ArtifactError(
+                "artifact is stale: spec inventory changed since "
+                f"generation (artifact hash {doc['spec_hash'][:12]}..., "
+                f"current {current[:12]}...)"
+            )
 
 
 def load_artifact(path: str, check_fresh: bool = True) -> Dict:

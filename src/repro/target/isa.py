@@ -3,7 +3,9 @@
 ``build_instruction`` is the whole offline phase of the generator for one
 instruction: parse the vendor pseudocode, symbolically evaluate and lift
 it to a VIDL description, and canonicalize the per-lane operations into
-the match patterns the online vectorizer consumes (§3–§4).
+the match patterns the online vectorizer consumes (§3–§4).  It imports
+the generator (:mod:`repro.pseudocode`, :mod:`repro.vidl.lift`) when it
+runs, so a compile that loads its targets from the artifact never does.
 """
 
 from __future__ import annotations
@@ -14,8 +16,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 from repro.ir.types import Type
 from repro.patterns.canonicalize import canonicalize_operation
 from repro.patterns.match_table import OperationIndex
-from repro.pseudocode import parse_spec
-from repro.vidl import InstDesc, LiftError, Operation, lift_spec
+from repro.vidl.ast import InstDesc, Operation
 
 
 @dataclass
@@ -127,6 +128,9 @@ def build_instruction(name: str, text: str, requires,
     of the generated vectorizer, mirroring VeGen skipping untranslatable
     intrinsics.
     """
+    from repro.pseudocode import parse_spec
+    from repro.vidl.lift import LiftError, lift_spec
+
     spec = parse_spec(text)
     try:
         desc = lift_spec(spec)

@@ -21,7 +21,7 @@ import threading
 from typing import Dict, List, Optional, Tuple
 
 from repro.target.isa import TargetDesc, TargetInstruction, build_instruction
-from repro.target.specs import TARGET_CONFIGS, SpecEntry, build_spec_entries
+from repro.target.specs import TARGET_CONFIGS, build_spec_entries
 
 #: Environment override for the artifact location.  An empty value (or
 #: ``0``/``off``) disables artifact loading entirely.
@@ -41,9 +41,6 @@ _cache: Dict[Tuple[str, bool], TargetDesc] = {}
 #: Built instructions, keyed by (instruction name, canonicalize_patterns).
 _inst_cache: Dict[Tuple[str, bool], Optional[TargetInstruction]] = {}
 
-#: Parsed spec entry list (shared across all targets).
-_entry_cache: Optional[List[SpecEntry]] = None
-
 #: Loaded artifact document, or False once loading failed/was skipped
 #: (None = not attempted yet).
 _artifact_cache: Optional[object] = None
@@ -56,16 +53,15 @@ def available_targets() -> List[str]:
 
 def clear_caches() -> None:
     """Reset every registry cache (built targets, built instructions,
-    parsed spec entries, and the loaded artifact memo).
+    and the loaded artifact memo).
 
     Public API for cold-build measurements: the next
     :func:`get_target` call re-runs target construction from scratch.
     """
-    global _entry_cache, _artifact_cache
+    global _artifact_cache
     with _lock:
         _cache.clear()
         _inst_cache.clear()
-        _entry_cache = None
         _artifact_cache = None
 
 
@@ -104,19 +100,11 @@ def _artifact() -> Optional[Dict]:
     return _artifact_cache or None
 
 
-def _entries() -> List[SpecEntry]:
-    global _entry_cache
-    with _lock:
-        if _entry_cache is None:
-            _entry_cache = build_spec_entries()
-        return _entry_cache
-
-
 def _build_target(name: str, canonicalize_patterns: bool) -> TargetDesc:
     """The pseudocode build path (must be called with ``_lock`` held)."""
     config = TARGET_CONFIGS[name]
     instructions = []
-    for entry in _entries():
+    for entry in build_spec_entries():
         if not entry.requires <= config.extensions:
             continue
         inst_key = (entry.name, canonicalize_patterns)

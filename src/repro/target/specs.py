@@ -67,8 +67,9 @@ class ISAFamily:
     partition the entry inventory — a target may combine extensions
     from several families).  ``build_entries`` is the family's whole
     "vendor manual": a zero-argument callable returning its
-    :class:`SpecEntry` list.  ``header`` is the default C header for
-    the family's intrinsics, applied to entries that do not name one.
+    :class:`SpecEntry` list, called once, at registration.  ``header``
+    is the default C header for the family's intrinsics, applied to
+    entries that do not name one.
     """
 
     name: str
@@ -82,6 +83,12 @@ FAMILIES: Dict[str, ISAFamily] = {}
 
 #: Aggregated target configurations across every registered family.
 TARGET_CONFIGS: Dict[str, TargetConfig] = {}
+
+#: Each registered family's entries (default header applied), built
+#: once at registration.  ``build_spec_entries`` concatenates them, so
+#: the duplicate check, the registry and the artifact's content hash
+#: never rebuild the inventory.
+_FAMILY_ENTRIES: Dict[str, List[SpecEntry]] = {}
 
 
 def register_family(family: ISAFamily) -> None:
@@ -101,14 +108,20 @@ def register_family(family: ISAFamily) -> None:
         raise ValueError(
             f"family {family.name!r} redefines targets: {sorted(clash)}"
         )
+    entries = [
+        replace(entry, header=family.header)
+        if entry.header is None and entry.intrinsic is not None else entry
+        for entry in family.build_entries()
+    ]
     existing = {e.name for e in build_spec_entries()}
-    new_names = [e.name for e in family.build_entries()]
+    new_names = [e.name for e in entries]
     dup = [n for n in new_names if n in existing or new_names.count(n) > 1]
     if dup:
         raise ValueError(
             f"family {family.name!r} redefines entries: {sorted(set(dup))}"
         )
     FAMILIES[family.name] = family
+    _FAMILY_ENTRIES[family.name] = entries
     for target_name, extensions in family.targets.items():
         TARGET_CONFIGS[target_name] = TargetConfig(
             extensions=frozenset(extensions), family=family.name
@@ -121,6 +134,7 @@ def unregister_family(name: str) -> None:
     family = FAMILIES.pop(name, None)
     if family is None:
         raise KeyError(f"no registered ISA family {name!r}")
+    del _FAMILY_ENTRIES[name]
     for target_name in family.targets:
         TARGET_CONFIGS.pop(target_name, None)
     _clear_registry_caches()
@@ -147,13 +161,8 @@ def target_family(name: str) -> str:
 def build_spec_entries() -> List[SpecEntry]:
     """All ISA entries across every registered family, ungated, in
     family registration order.  The registry filters by target."""
-    entries: List[SpecEntry] = []
-    for family in FAMILIES.values():
-        for entry in family.build_entries():
-            if entry.header is None and entry.intrinsic is not None:
-                entry = replace(entry, header=family.header)
-            entries.append(entry)
-    return entries
+    return [entry for entries in _FAMILY_ENTRIES.values()
+            for entry in entries]
 
 
 def baseline_fabs_entries() -> List[SpecEntry]:

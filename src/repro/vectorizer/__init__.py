@@ -2,57 +2,21 @@
 enumeration (Algorithm 1), seed enumeration (Figure 8), the SLP-heuristic
 cost recurrence (Figure 7), beam search (Figure 9), and code generation."""
 
-from repro.vectorizer.beam import BeamSearch, select_packs
-from repro.vectorizer.codegen import CodegenError, generate
-from repro.vectorizer.context import VectorizationContext, VectorizerConfig
-from repro.vectorizer.pack import (
-    ComputePack,
-    InvalidPack,
-    LoadPack,
-    Pack,
-    StorePack,
-    operand_key,
-    pack_depends_on,
-    packs_independent,
-)
-from repro.vectorizer.pipeline import (
-    VectorizationResult,
-    clone_function,
-    scalar_program,
-    vectorize,
-)
-from repro.vectorizer.producers import producers_for_operand
-from repro.vectorizer.report import render_report
-from repro.vectorizer.seeds import (
-    AffinityEstimator,
-    AffinityParams,
-    affinity_seed_tuples,
-    store_seed_packs,
-)
-from repro.vectorizer.slp import SLPCostEstimator
-from repro.vectorizer.vector_ir import (
-    ElementSource,
-    VExtract,
-    VGather,
-    VLoad,
-    VNode,
-    VOp,
-    VScalar,
-    VStore,
-    VectorProgram,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "BeamSearch", "select_packs", "CodegenError", "generate",
-    "VectorizationContext", "VectorizerConfig",
-    "ComputePack", "InvalidPack", "LoadPack", "Pack", "StorePack",
-    "operand_key", "pack_depends_on", "packs_independent",
-    "VectorizationResult", "clone_function", "scalar_program", "vectorize",
-    "producers_for_operand",
-    "render_report",
-    "AffinityEstimator", "AffinityParams", "affinity_seed_tuples",
-    "store_seed_packs",
-    "SLPCostEstimator",
-    "ElementSource", "VExtract", "VGather", "VLoad", "VNode", "VOp",
-    "VScalar", "VStore", "VectorProgram",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "beam": ("BeamSearch", "select_packs"),
+    "codegen": ("CodegenError", "generate"),
+    "context": ("VectorizationContext", "VectorizerConfig"),
+    "pack": ("ComputePack", "InvalidPack", "LoadPack", "Pack", "StorePack",
+             "operand_key", "pack_depends_on", "packs_independent"),
+    "pipeline": ("VectorizationResult", "clone_function", "scalar_program",
+                 "vectorize"),
+    "producers": ("producers_for_operand",),
+    "report": ("render_report",),
+    "seeds": ("AffinityEstimator", "AffinityParams",
+              "affinity_seed_tuples", "store_seed_packs"),
+    "slp": ("SLPCostEstimator",),
+    "vector_ir": ("ElementSource", "VExtract", "VGather", "VLoad", "VNode",
+                  "VOp", "VScalar", "VStore", "VectorProgram"),
+})

@@ -75,7 +75,7 @@ from repro.vectorizer.pack import (
 from repro.vectorizer.producers import producer_table, producers_for_operand
 from repro.vectorizer.seeds import affinity_seed_tuples, store_seed_packs
 from repro.vectorizer.slp import INFINITY, SLPCostEstimator
-from repro.vidl.interp import DONT_CARE
+from repro.vidl.ast import DONT_CARE
 
 #: Operand classification in the per-pack apply table: an operand with no
 #: in-block elements (constants/arguments, materialized directly), a

@@ -44,7 +44,7 @@ from repro.vectorizer.vector_ir import (
     VStore,
     VectorProgram,
 )
-from repro.vidl.interp import DONT_CARE
+from repro.vidl.ast import DONT_CARE
 
 
 class CodegenError(RuntimeError):

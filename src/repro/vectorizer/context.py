@@ -19,9 +19,20 @@ from repro.vectorizer.pack import operand_key
 #: (``VectorizerConfig.exact_node_budget`` / ``repro vectorize
 #: --exact-budget``).  Sized for a one-shot proof of a single compile;
 #: the bench's per-cell gap pass uses the much smaller
-#: :data:`repro.obs.bench.DEFAULT_GAP_NODE_BUDGET` — see the field
-#: docstring below for why the two differ.
+#: :data:`DEFAULT_GAP_NODE_BUDGET` — see the field docstring below for
+#: why the two differ.
 DEFAULT_EXACT_NODE_BUDGET = 400_000
+
+#: Default node budget for the per-cell exact pass behind the bench's
+#: ``optimality_gap`` column (``repro bench --gap-budget``, re-exported
+#: by :mod:`repro.obs.bench`): enough to prove the small/medium kernels
+#: optimal, bounded so the heavy cells (dsp_idct8, dsp_sbc) report
+#: ``null`` in seconds instead of minutes.  This is the *quick probe*
+#: budget; :data:`DEFAULT_EXACT_NODE_BUDGET` (8x larger) is the *proof*
+#: budget for targeted single-kernel runs — the two are deliberately
+#: distinct because the bench pass runs 132 cells and the proof path
+#: runs one.
+DEFAULT_GAP_NODE_BUDGET = 50000
 
 
 @dataclass
@@ -101,7 +112,7 @@ class VectorizerConfig:
     #: default (:data:`DEFAULT_EXACT_NODE_BUDGET`) sizes a *one-shot*
     #: ``--exact`` compile, where proving one cell is the whole point;
     #: ``repro bench --gap-budget`` deliberately runs the same pass at a
-    #: small fraction of it (:data:`repro.obs.bench.DEFAULT_GAP_NODE_BUDGET`)
+    #: small fraction of it (:data:`DEFAULT_GAP_NODE_BUDGET`)
     #: because the bench's gap pass re-proves every one of the 132 cells
     #: on each run and only reports, never returns, the result.
     exact_node_budget: int = DEFAULT_EXACT_NODE_BUDGET

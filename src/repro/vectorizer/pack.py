@@ -21,7 +21,7 @@ from repro.ir.types import Type
 from repro.ir.values import Constant, Value, constants_equal
 from repro.patterns.matcher import Match
 from repro.target.isa import TargetInstruction
-from repro.vidl.interp import DONT_CARE
+from repro.vidl.ast import DONT_CARE
 
 #: One element of an operand vector.
 OperandElement = Union[Value, object]  # Value | DONT_CARE

@@ -37,7 +37,7 @@ from repro.vectorizer.pack import (
     compute_pack_key,
     compute_pack_lanes,
 )
-from repro.vidl.interp import DONT_CARE
+from repro.vidl.ast import DONT_CARE
 
 
 class ProducerList:

@@ -33,7 +33,7 @@ from repro.vectorizer.pack import (
     operand_key,
 )
 from repro.vectorizer.producers import producer_table
-from repro.vidl.interp import DONT_CARE
+from repro.vidl.ast import DONT_CARE
 
 INFINITY = math.inf
 

@@ -23,6 +23,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.ir.types import Type
 
+#: Sentinel for don't-care operand lanes (Figure 6 / §4.4).  Defined
+#: here, not in the interpreter, because the compile-time search and
+#: codegen mark don't-care lanes without ever executing VIDL.
+DONT_CARE = object()
+
 
 # -- operation expressions -----------------------------------------------------
 

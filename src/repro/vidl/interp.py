@@ -20,10 +20,14 @@ from repro.ir.interp import (
 from repro.ir.types import Type
 from repro.utils.fp import float_from_bits, float_to_bits, round_to_width
 from repro.utils.intmath import mask
-from repro.vidl.ast import InstDesc, OpConst, OpExpr, OpNode, OpParam
-
-#: Sentinel for don't-care operand lanes (Figure 6 / §4.4).
-DONT_CARE = object()
+from repro.vidl.ast import (
+    DONT_CARE,
+    InstDesc,
+    OpConst,
+    OpExpr,
+    OpNode,
+    OpParam,
+)
 
 _CAST_OPS = frozenset(
     {"sext", "zext", "trunc", "fpext", "fptrunc", "sitofp", "fptosi"}

@@ -1,6 +1,11 @@
 """Coverage for printers, formatters, and assorted edge cases across the
 smaller modules."""
 
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
 
 from repro.bitvector import (
     bv_binary,
@@ -113,12 +118,64 @@ void f(const int32_t *restrict a, int32_t *restrict b) {
         assert result.vectorized
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: Packages whose public names resolve lazily (PEP 562).
+LAZY_PACKAGES = ("repro", "repro.vidl", "repro.obs", "repro.machine",
+                 "repro.patterns", "repro.vectorizer")
+
+
+def _top_level_definitions(package):
+    """``name -> [module, ...]``: the modules under ``package`` whose
+    source defines ``name`` at top level (a def, a class or an
+    assignment; an import is not a definition)."""
+    defined = {}
+    for path in sorted(SRC.joinpath(*package.split(".")).rglob("*.py")):
+        parts = path.relative_to(SRC).with_suffix("").parts
+        module = ".".join(p for p in parts if p != "__init__")
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets
+                         if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(
+                    node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                names = []
+            for name in names:
+                defined.setdefault(name, []).append(module)
+    return defined
+
+
 class TestPublicAPI:
     def test_star_import_surface(self):
-        import repro
+        for package in LAZY_PACKAGES:
+            pkg = importlib.import_module(package)
+            defined = _top_level_definitions(package)
+            for name in pkg.__all__:
+                if name == "__version__":
+                    continue
+                # Resolves to the object its defining module holds.
+                homes = [m for m in defined.get(name, ()) if m != package]
+                assert homes, f"{package}.{name} is defined nowhere"
+                value = getattr(pkg, name)
+                assert any(getattr(importlib.import_module(m), name)
+                           is value for m in homes), (package, name)
+            assert set(pkg.__all__) <= set(dir(pkg)), package
+            namespace = {}
+            exec(f"from {package} import *", namespace)
+            assert set(pkg.__all__) <= set(namespace), package
+            with pytest.raises(AttributeError):
+                getattr(pkg, "no_such_export")
 
-        for name in repro.__all__:
-            assert hasattr(repro, name), name
+    def test_dont_care_is_one_object(self):
+        import repro.vidl
+        from repro.vidl import ast as vidl_ast, interp as vidl_interp
+
+        assert repro.vidl.DONT_CARE is vidl_ast.DONT_CARE
+        assert vidl_interp.DONT_CARE is vidl_ast.DONT_CARE
 
     def test_version(self):
         import repro
