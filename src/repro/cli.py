@@ -78,13 +78,11 @@ def _cmd_vectorize(args: argparse.Namespace) -> int:
                   f"{', '.join(available_passes())}", file=sys.stderr)
             return 2
     config = None
-    if args.exact or args.bound != "matching":
+    if args.exact:
         from repro.vectorizer.context import VectorizerConfig
 
-        config = VectorizerConfig(beam_width=args.beam_width,
-                                  exact=args.exact,
-                                  exact_node_budget=args.exact_budget,
-                                  bound=args.bound)
+        config = VectorizerConfig(beam_width=args.beam_width, exact=True,
+                                  exact_node_budget=args.exact_budget)
     session = VectorizationSession(
         target=args.target,
         beam_width=args.beam_width,
@@ -462,12 +460,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print(f"bench: {exc.args[0]}", file=sys.stderr)
         return 2
     validate_bench(doc)
+    # Read the baseline before writing: ``--compare`` may name the
+    # ``--out`` file itself (regenerating the committed trajectory).
+    old = load_bench(args.compare) if args.compare else None
     write_bench(doc, args.out)
     render_bench_summary(doc)
     print(f"wrote {args.out}")
 
-    if args.compare:
-        old = load_bench(args.compare)
+    if old is not None:
         regressions, notes = compare_bench(
             old, doc, cost_tolerance=args.tolerance
         )
@@ -533,7 +533,6 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro.vectorizer.bounds import BOUND_MODES
     from repro.vectorizer.context import (
         DEFAULT_EXACT_NODE_BUDGET,
         DEFAULT_GAP_NODE_BUDGET,
@@ -566,11 +565,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "default, see there); when exhausted the best "
                         "incumbent is returned without an optimality "
                         "proof")
-    p.add_argument("--bound", choices=BOUND_MODES, default="matching",
-                   help="search lower-bound provider (default "
-                        "matching, the admissible relaxation; slp "
-                        "disables the bound gates — the differential "
-                        "oracle with identical packs/costs)")
     p.add_argument("--dump-ir", action="store_true",
                    help="also print the scalar IR")
     p.add_argument("--report", action="store_true",

@@ -48,7 +48,7 @@ COUNTER_NAMES = frozenset({
     "beam.heuristic_skips",       # children scored by g alone: g already
                                   # above the running kth-best f, so the
                                   # heuristic call is provably redundant
-    # admissible matching bound (config.bound="matching")
+    # admissible matching bound (repro.vectorizer.bounds)
     "beam.bound_evals",           # lower-bound evaluations computed
     "beam.bound_prunes",          # exhaustive branches cut because
                                   # g + lb met the incumbent (or
@@ -63,10 +63,6 @@ COUNTER_NAMES = frozenset({
     "beam.bound_dominance_cuts",  # exhaustive states cut by the
                                   # dominance memo (same S/F, V-superset
                                   # of a seen state at <= cost)
-    # bitset-native search core (config.bitset)
-    "beam.bitset_runs",           # searches run on the bitset engine
-    "beam.bitset_operands",       # dense operand ids assigned by the
-                                  # bitset registry
     # exhaustive branch-and-bound (config.exact)
     "beam.exact_runs",            # exhaustive passes started
     "beam.exact_nodes",           # states visited by the exhaustive DFS

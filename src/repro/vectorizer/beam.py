@@ -2,7 +2,8 @@
 
 A search state is the tuple ``(V, S, F)``:
 
-* ``V`` — vector operands still to produce,
+* ``V`` — vector operands still to produce, as a bitmask over dense
+  operand ids (bit ``i`` is the ``i``-th operand registered),
 * ``S`` — scalar values still to produce (stores are included but never
   pay extraction costs),
 * ``F`` — free instructions not yet decided.
@@ -32,28 +33,25 @@ The search is engineered as a bounded branch-and-bound engine:
   Rejected pack applications are additionally memoized on the masked
   free-set key (``beam.apply_reject_hits``); feasibility depends only on
   ``free & (vbits | users)``, so the memo is exact.
-* **Incumbent pruning + lazy child scoring**
-  (``VectorizerConfig(prune=True)``, default on) — transition costs are
+* **Incumbent pruning + lazy child scoring** — transition costs are
   non-negative, so a child whose ``g`` already meets the incumbent
   solved cost is dominated along with all its descendants and is dropped
   before completion, heuristic, and rollout
   (``beam.incumbent_prunes``); children are ranked by ``g + h`` first
   and only beam survivors (plus children whose ``f`` beats the
   incumbent) are completed, so completion work scales with the beam
-  width instead of the branching factor.  The returned cost is never
-  worse than the unpruned search's (``tests/test_prune_differential``);
-  ``prune=False`` restores the exhaustive scoring path exactly.
-* **Admissible lower-bound gates**
-  (``VectorizerConfig(bound="matching")``, default) — a fractional
-  pack-cover relaxation (:mod:`repro.vectorizer.bounds`, DESIGN.md §16)
-  maps every state to ``lb <= cost of any completion``.  The beam phase
-  uses it only for identity-preserving skips (lazy-heuristic deferral
-  via ``h >= lb``, rollout stops and deferred-completion skips against
-  the incumbent's provable total), each gate self-tuning off when it
-  stops firing; the exact pass cuts every subtree with
-  ``g + lb >= incumbent`` and adds a dominance memo, which is where the
-  optimality proofs come from.  ``bound="slp"`` restores the pre-bound
-  engine byte-for-byte (``tests/test_bound_differential``).
+  width instead of the branching factor.
+* **Admissible lower-bound gates** — a fractional pack-cover relaxation
+  (:mod:`repro.vectorizer.bounds`, DESIGN.md §16) maps every state to
+  ``lb <= cost of any completion``.  The beam phase uses it only for
+  identity-preserving skips (lazy-heuristic deferral via ``h >= lb``,
+  rollout stops and deferred-completion skips against the incumbent's
+  provable total), each gate self-tuning off when it stops firing; the
+  exact pass cuts every subtree with ``g + lb >= incumbent`` and adds a
+  dominance memo, which is where the optimality proofs come from.
+
+The per-cell ``program_sha256`` digests committed in ``BENCH_vegen.json``
+pin what the search selects (``tests/test_bench_digests.py``).
 """
 
 from __future__ import annotations
@@ -61,12 +59,12 @@ from __future__ import annotations
 import gc
 from dataclasses import dataclass
 from heapq import heappush, heapreplace
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.ir.instructions import Instruction, StoreInst, RetInst
 from repro.ir.values import Argument, Constant
 from repro.obs.counters import NULL_COUNTERS
-from repro.vectorizer.bounds import BOUND_MODES, MatchingLowerBound
+from repro.vectorizer.bounds import MatchingLowerBound
 from repro.vectorizer.context import VectorizationContext
 from repro.vectorizer.pack import (
     OperandVector,
@@ -97,31 +95,14 @@ except AttributeError:  # pragma: no cover - exercised on 3.9 CI only
         return bin(value).count("1")
 
 
-def _keyset_obits_fn(bits_of: Dict[Tuple, int],
-                     memo: Dict[FrozenSet, int]
-                     ) -> Callable[["SearchState"], int]:
-    """``state -> union of its live operands' produced bits`` for the
-    frozenset engine, over its operand-bits table and per-set memo.
-
-    Engines hand these table-only functions to their bound provider
-    instead of a bound method: the provider then holds no reference to
-    the search, and a finished search dies by refcounting."""
-    def state_obits(state: "SearchState") -> int:
-        keys = state.operand_keys
-        bits = memo.get(keys)
-        if bits is None:
-            bits = 0
-            for key in keys:
-                bits |= bits_of[key]
-            memo[keys] = bits
-        return bits
-    return state_obits
-
-
 def _mask_obits_fn(obits_by_id: List[int],
                    memo: Dict[int, int]) -> Callable[[int], int]:
-    """``operand-id mask -> union of the produced bits of its operands``
-    for the bitset engine, over its dense-id table and per-mask memo."""
+    """``operand-id mask -> union of the produced bits of its operands``,
+    over the search's dense-id table and a per-mask memo.
+
+    The search hands this table-only function to its bound provider
+    instead of a bound method: the provider then holds no reference to
+    the search, and a finished search dies by refcounting."""
     def mask_obits(mask: int) -> int:
         bits = memo.get(mask)
         if bits is None:
@@ -138,21 +119,41 @@ def _mask_obits_fn(obits_by_id: List[int],
 
 @dataclass(frozen=True)
 class SearchState:
-    operand_keys: FrozenSet[Tuple]   # V (keys into the operand registry)
+    operand_mask: int                # V as a mask over dense operand ids
     scalar_bits: int                 # S as an instruction bitset
     free_bits: int                   # F as an instruction bitset
     packs: Tuple[Pack, ...]
     g: float
 
     def identity(self) -> Tuple:
-        return (self.operand_keys, self.scalar_bits, self.free_bits)
+        return (self.operand_mask, self.scalar_bits, self.free_bits)
 
     @property
     def solved(self) -> bool:
-        return not self.operand_keys and self.scalar_bits == 0
+        return not self.operand_mask and self.scalar_bits == 0
 
 
 class BeamSearch:
+    """The beam engine over bitset states.
+
+    A state's live-operand set ``V`` is a big-int bitmask over *dense
+    operand ids* — bit ``i`` is the operand registered ``i``-th — so a
+    state is three ints plus its pack tuple, ``identity()`` is an int
+    triple, and every transition is mask AND/OR/ANDNOT arithmetic over
+    tables built at registration time:
+
+    * ``_ops_by_id`` / ``_obits_by_id`` — id -> operand / produced-bits
+      (flat lists; one index replaces a tuple-keyed dict probe),
+    * ``_member_masks`` — instruction index -> mask of operand ids whose
+      lanes contain it (scalar fixes retest only those),
+    * ``_inst_occ`` — element id -> [(operand-id bit, occurrence count)]
+      (the Figure 9 costinsert term as mask tests).
+
+    Dense ids are registration order, so LSB-first mask iteration visits
+    a state's operands in the order they were first registered, never in
+    an order that depends on hash values.
+    """
+
     def __init__(self, ctx: VectorizationContext):
         self.ctx = ctx
         self.model = ctx.cost_model
@@ -166,19 +167,26 @@ class BeamSearch:
         self._inst_slices = [closure | (1 << i)
                              for i, closure in enumerate(dg._closure)]
         self._users_bits = self._compute_users_bits()
-        self._operand_registry: Dict[Tuple, OperandVector] = {}
-        self._operand_order: Dict[Tuple, int] = {}
         self._operand_bits_cache: Dict[Tuple, int] = {}
-        # Search-layer memoization (config.memoize, on by default).  Both
-        # memos are exact — keys capture every input the computation
-        # reads — so the search result is bit-identical with them off
-        # (differential-tested in tests/test_canon_differential.py).
-        # Keys route through the context's id-keyed operand_key cache:
-        # operand tuples are stable objects, so the steady-state lookup
-        # never rebuilds a key tuple.
-        self._memoize = ctx.config.memoize
-        # Incumbent pruning + lazy child scoring (config.prune).
-        self._prune = ctx.config.prune
+        # The dense-id operand registry (see the class docstring):
+        # operand key -> dense id, plus the per-id tables.
+        self._operand_ids: Dict[Tuple, int] = {}
+        self._ops_by_id: List[OperandVector] = []
+        self._obits_by_id: List[int] = []
+        self._member_masks: List[int] = [0] * len(self._instructions)
+        self._inst_occ: Dict[int, List[Tuple[int, int]]] = {}
+        self._inst_opnd_bits: Dict[int, int] = {}
+        # operand mask -> [operands].  A pure per-mask cache; masks
+        # repeat heavily across heuristic/completion/expand calls.
+        self._live_ops_memo: Dict[int, List[OperandVector]] = {}
+        #: Union of the produced-bits of every operand id in a mask.
+        self._mask_obits = _mask_obits_fn(self._obits_by_id, {})
+        # Search-layer memos.  Every memo is exact — keys capture every
+        # input the computation reads — and keys route through the
+        # context's id-keyed operand_key cache: operand tuples are
+        # stable objects, so the steady-state lookup never rebuilds a
+        # key tuple.
+        #
         # id(operand) -> (operand, operand_bits, {free & operand_bits:
         # residual}).  Masking free to the operand's own bits collapses
         # the many frees that agree on the operand's lanes onto one
@@ -193,7 +201,7 @@ class BeamSearch:
         #   estimate memo: (free & closure, counted & closure, depth) ->
         #     (cost, bits); the estimate only ever reads free/counted
         #     inside the residual's backward closure (see
-        #     _operand_estimate), so masking the key to it collapses the
+        #     _estimate_residual), so masking the key to it collapses the
         #     per-state variation that made a full-key memo useless, and
         #     interning makes the per-triple dict exactly equivalent to a
         #     global id(residual)-keyed one — minus the id in every key
@@ -202,11 +210,6 @@ class BeamSearch:
         #     (term cost, slice bits); same exactness argument.
         self._residual_info: Dict[Tuple, Tuple] = {}
         self._completion_memo: Dict[Tuple, float] = {}
-        # operand key -> {id(element): occurrence count}; _apply_scalar_fix
-        # charges one insert per occurrence of the fixed instruction in
-        # each live operand, and scanning lanes per fix per key is the
-        # hottest part of scalar-fix expansion.
-        self._operand_elem_counts: Dict[Tuple, Dict[int, int]] = {}
         #: Transposition table: best g seen per SearchState.identity().
         #: Re-derived states (same V/S/F at equal-or-worse g) are dropped
         #: before completion/rollout — their transitions and completions
@@ -214,25 +217,20 @@ class BeamSearch:
         self._tt: Dict[Tuple, float] = {}
         # Per-pack transition tables, keyed by pack object identity (the
         # pack is pinned inside the value, so its id can never be
-        # reused).  Always on: these cache quantities that do not depend
-        # on the search state, so the search path is unchanged.
+        # reused).  These cache quantities that do not depend on the
+        # search state, so the search path is unchanged.
         #   feasibility: (pack, vbits, users_bits, mask, reject_memo)
         self._pack_feas: Dict[int, Tuple] = {}
-        #   application: (pack, op_cost, produced_key, operand_entries,
+        #   application: (pack, op_cost, operand_entries,
         #                 interior_indices, produces_memo); built on a
-        #   pack's first successful application so the operand-registry
-        #   registration order matches the unprecomputed search exactly.
+        #   pack's first successful application, which is what fixes
+        #   the operand registration order.
         self._pack_apply: Dict[int, Tuple] = {}
         # Candidate packs built by expand() outside the producer cache
         # (vector-load covers, sub-tuple splits): cached per operand key
         # so the pack objects are stable and the per-pack tables hit.
         self._load_packs_cache: Dict[Tuple, List[Pack]] = {}
         self._subtuple_cache: Dict[Tuple, List[Pack]] = {}
-        # Registration-order sort of a state's operand keys, cached per
-        # frozenset (frozensets cache their hash; order indices never
-        # change once a key is registered, and every key in a state was
-        # registered when the state was built).
-        self._sorted_keys_cache: Dict[FrozenSet, Tuple] = {}
         # scalar_bits -> union of the scalar set with its backward
         # closures; children mostly share S, so this repeats heavily
         # across heuristic and completion calls.
@@ -244,31 +242,15 @@ class BeamSearch:
         #: ``best_solved.g <= bound`` returns the same object the full
         #: run would have.
         self._warm_bound: Optional[float] = None
-        # operand_keys frozenset -> union of operand produced-bits (the
-        # legacy engine's _state_obits memo; the bitset engine memoizes
-        # per operand-id mask instead).
-        self._state_obits_memo: Dict[FrozenSet, int] = {}
-        #: state -> union of the produced-bits of its live operands —
-        #: the instructions some live vector operand still demands.
-        self._state_obits = self._make_state_obits()
         with ctx.tracer.span("seed_enumeration"):
             self._seed_packs = self._enumerate_seed_packs()
         (self._seed_kill_masks, self._seed_dead_mask,
          self._seed_vbits_union) = self._index_seeds()
-        bound_mode = ctx.config.bound
-        if bound_mode not in BOUND_MODES:
-            raise ValueError(
-                f"unknown bound mode {bound_mode!r}; "
-                f"expected one of {BOUND_MODES}"
-            )
-        #: Admissible lower-bound provider (config.bound="matching");
-        #: None ("slp") keeps the pure SLP-heuristic engine as the
-        #: differential oracle.  Built over the operand tables, not the
-        #: search, so it never points back at its owner.
-        self._lb: Optional[MatchingLowerBound] = (
-            MatchingLowerBound(ctx, self._state_obits)
-            if bound_mode == "matching" else None
-        )
+        #: Admissible lower-bound provider.  Built over the operand
+        #: tables, not the search, so it never points back at its owner.
+        mask_obits = self._mask_obits
+        self._lb = MatchingLowerBound(
+            ctx, lambda state: mask_obits(state.operand_mask))
 
     # -- setup -------------------------------------------------------------
 
@@ -344,47 +326,56 @@ class BeamSearch:
             self._operand_bits_cache[key] = bits
         return bits
 
-    def _register_operand(self, operand: OperandVector) -> Tuple:
+    # -- dense-id registry -------------------------------------------------
+
+    def _register_operand(self, operand: OperandVector) -> int:
+        """The operand's dense id, assigned with its table rows on first
+        registration."""
         key = self.ctx.operand_key_of(operand)
-        if key not in self._operand_registry:
-            self._operand_registry[key] = operand
-            self._operand_order[key] = len(self._operand_order)
-            if key not in self._operand_bits_cache:
-                self._operand_bits_cache[key] = \
-                    self._bits_of_values(operand)
+        opid = self._operand_ids.get(key)
+        if opid is None:
+            opid = len(self._ops_by_id)
+            self._operand_ids[key] = opid
+            obits = self._operand_bits(operand)
+            self._ops_by_id.append(operand)
+            self._obits_by_id.append(obits)
+            opbit = 1 << opid
+            member = self._member_masks
+            remaining = obits
+            while remaining:
+                index = (remaining & -remaining).bit_length() - 1
+                remaining &= remaining - 1
+                member[index] |= opbit
             counts: Dict[int, int] = {}
             for element in operand:
                 if element is not DONT_CARE:
                     eid = id(element)
                     counts[eid] = counts.get(eid, 0) + 1
-            self._operand_elem_counts[key] = counts
-        return key
-
-    def _sorted_keys(self, keys):
-        # Deterministic, registration-ordered iteration (frozenset order
-        # varies with hash values and must never influence the search).
-        cached = self._sorted_keys_cache.get(keys)
-        if cached is None:
-            cached = tuple(
-                sorted(keys, key=lambda k: self._operand_order.get(k, 0))
-            )
-            self._sorted_keys_cache[keys] = cached
-        return cached
+            occ = self._inst_occ
+            for eid, count in counts.items():
+                entry = occ.get(eid)
+                if entry is None:
+                    occ[eid] = [(opbit, count)]
+                else:
+                    entry.append((opbit, count))
+        return opid
 
     def _live_operands(self, state: SearchState) -> List[OperandVector]:
-        """A state's live operand vectors in registration order.
-
-        The single iteration hook shared by expand, heuristic, scalar
-        completion, and rollout; the bitset engine overrides it with
-        LSB-first mask iteration, which visits the same operands in the
-        same order (dense ids *are* registration order)."""
-        registry = self._operand_registry
-        return [registry[key]
-                for key in self._sorted_keys(state.operand_keys)]
-
-    def _make_state_obits(self) -> Callable[[SearchState], int]:
-        return _keyset_obits_fn(self._operand_bits_cache,
-                                self._state_obits_memo)
+        """A state's live operand vectors in registration order (LSB
+        first): the iteration shared by expand, heuristic, scalar
+        completion, and rollout."""
+        mask = state.operand_mask
+        ops = self._live_ops_memo.get(mask)
+        if ops is None:
+            ops = []
+            ops_by_id = self._ops_by_id
+            remaining = mask
+            while remaining:
+                bit = remaining & -remaining
+                remaining ^= bit
+                ops.append(ops_by_id[bit.bit_length() - 1])
+            self._live_ops_memo[mask] = ops
+        return ops
 
     # -- per-pack transition tables ----------------------------------------------------
 
@@ -408,19 +399,19 @@ class BeamSearch:
 
     def _pack_apply_info(self, pack: Pack) -> Tuple:
         """State-independent transition data, built on a pack's *first
-        successful application* so operand registration happens in
-        exactly the order the unprecomputed search would register."""
+        successful application*: that is when its operands are
+        registered, so dense ids follow the order in which the search
+        first applies packs."""
         info = self._pack_apply.get(id(pack))
         if info is None:
             op_cost = self.estimator.pack_op_cost(pack)
-            produced_key = self.ctx.operand_key_of(pack.values())
             entries = []
             for operand in pack.operands():
                 obits = self._operand_bits(operand)
                 if obits == 0:
                     entries.append((_OP_IMMEDIATE, 0,
                                     self._immediate_operand_cost(operand),
-                                    None, None))
+                                    0))
                     continue
                 real = [e for e in operand if e is not DONT_CARE
                         and not isinstance(e, (Constant, Argument))]
@@ -428,16 +419,13 @@ class BeamSearch:
                     # Broadcast operand (§6.2 special case): produce the
                     # one scalar and splat it.
                     entries.append((_OP_BROADCAST, obits,
-                                    self.model.c_broadcast, None, None))
+                                    self.model.c_broadcast, 0))
                     continue
-                key = self._register_operand(operand)
-                # The trailing element is the operand's dense id (its
-                # registration order) — unused by the legacy engine, the
-                # bitset engine's register bit.
+                # The trailing element is the operand's dense-id bit.
                 entries.append((_OP_REGISTER, obits,
-                                self._foreign_element_cost(operand), key,
-                                self._operand_order[key]))
-            info = (pack, op_cost, produced_key, tuple(entries),
+                                self._foreign_element_cost(operand),
+                                1 << self._register_operand(operand)))
+            info = (pack, op_cost, tuple(entries),
                     self._interior_indices(pack), {})
             self._pack_apply[id(pack)] = info
         return info
@@ -477,7 +465,7 @@ class BeamSearch:
                 terminator.return_value is not None and \
                 dg.contains(terminator.return_value):
             scalars |= 1 << dg.index(terminator.return_value)
-        return SearchState(frozenset(), scalars, free, (), 0.0)
+        return SearchState(0, scalars, free, (), 0.0)
 
     # -- transitions -------------------------------------------------------------------
 
@@ -622,54 +610,63 @@ class BeamSearch:
 
     def _apply_pack(self, state: SearchState,
                     pack: Pack) -> Optional[SearchState]:
-        _, vbits, users, mask, reject = self._pack_feasibility(pack)
+        _, vbits, users, fmask, reject = self._pack_feasibility(pack)
         if vbits == 0:
             return None
-        masked = state.free_bits & mask
+        free_bits = state.free_bits
+        masked = free_bits & fmask
         if masked in reject:
             self.ctx.counters.inc("beam.apply_reject_hits")
             return None
-        if (vbits & state.free_bits) != vbits:
+        if (vbits & free_bits) != vbits:
             reject[masked] = True
             return None  # some produced value already decided
-        if users & state.free_bits:
+        if users & free_bits:
             reject[masked] = True
-            return None  # an undecided user remains (Fig. 9 side condition)
+            return None  # an undecided user remains (Fig. 9 side cond.)
 
-        (_, op_cost, produced_key, entries, interior,
+        (_, op_cost, entries, interior,
          produces_memo) = self._pack_apply_info(pack)
-        free_after = state.free_bits & ~vbits
+        free_after = free_bits & ~vbits
         delta = op_cost
         # costextract(p, S): store packs never pay extraction.
         if not pack.is_store:
-            delta += self.model.c_extract * bin(
+            delta += self.model.c_extract * _bit_count(
                 vbits & state.scalar_bits
-            ).count("1")
+            )
         # costshuffle(p, V): every live operand that overlaps but is not
-        # exactly produced by this pack needs a shuffle.
-        bits_of = self._operand_bits_cache
-        new_operand_keys = set()
-        for key in state.operand_keys:
-            obits = bits_of[key]
+        # exactly produced by this pack needs a shuffle.  The produced
+        # operand needs no special case: if a live operand *is* the
+        # produced vector, _produces answers True and the memo result is
+        # False.  produces_memo is keyed by dense id.
+        c_shuffle = self.model.c_shuffle
+        ops_by_id = self._ops_by_id
+        obits_by_id = self._obits_by_id
+        new_mask = 0
+        remaining = state.operand_mask
+        while remaining:
+            bit = remaining & -remaining
+            remaining ^= bit
+            opid = bit.bit_length() - 1
+            obits = obits_by_id[opid]
             if obits & free_after:
-                new_operand_keys.add(key)  # still unresolved
-            if key != produced_key and (obits & vbits):
-                needs_shuffle = produces_memo.get(key)
+                new_mask |= bit  # still unresolved
+            if obits & vbits:
+                needs_shuffle = produces_memo.get(opid)
                 if needs_shuffle is None:
-                    needs_shuffle = not self._produces(
-                        pack, self._operand_registry[key]
-                    )
-                    produces_memo[key] = needs_shuffle
+                    needs_shuffle = not self._produces(pack,
+                                                       ops_by_id[opid])
+                    produces_memo[opid] = needs_shuffle
                 if needs_shuffle:
-                    delta += self.model.c_shuffle
+                    delta += c_shuffle
 
         scalar_additions = 0
-        for kind, obits, cost, key, _order in entries:
+        for kind, obits, cost, opbit in entries:
             delta += cost
             if kind == _OP_BROADCAST:
                 scalar_additions |= obits
             elif kind == _OP_REGISTER:
-                new_operand_keys.add(key)
+                new_mask |= opbit
 
         scalars_after = (state.scalar_bits | scalar_additions) & ~vbits
         # §5.2 / Figure 9 note: a pack like pmaddwd replaces multiple IR
@@ -677,30 +674,28 @@ class BeamSearch:
         # dead code and leave F — unless something still needs them as
         # scalars (an undecided user, membership in S, or an element of a
         # live vector operand).
-        free_after = self._drop_dead_covered(interior, free_after,
-                                             scalars_after,
-                                             new_operand_keys)
+        if interior:
+            free_after = self._drop_dead_covered(
+                interior, free_after, scalars_after, new_mask
+            )
         return SearchState(
-            frozenset(new_operand_keys),
+            new_mask,
             scalars_after,
             free_after,
             state.packs + (pack,),
             state.g + delta,
         )
 
-    def _drop_dead_covered(self, interior: Tuple[int, ...], free_bits: int,
-                           scalar_bits: int, operand_keys) -> int:
-        if not interior:
-            return free_bits
-        needed = scalar_bits
-        bits_of = self._operand_bits_cache
-        for key in operand_keys:
-            needed |= bits_of[key]
+    def _drop_dead_covered(self, interior: Tuple[int, ...],
+                           free_bits: int, scalar_bits: int,
+                           op_mask: int) -> int:
+        needed = scalar_bits | self._mask_obits(op_mask)
+        users_bits = self._users_bits
         for index in interior:
             bit = 1 << index
             if not (free_bits & bit) or (needed & bit):
                 continue
-            if self._users_bits[index] & free_bits:
+            if users_bits[index] & free_bits:
                 continue
             free_bits &= ~bit
         return free_bits
@@ -738,16 +733,15 @@ class BeamSearch:
         return self.model.c_insert * count
 
     def _scalar_fix_candidates(self, state: SearchState) -> List[int]:
-        needed = state.scalar_bits
-        bits_of = self._operand_bits_cache
-        for key in state.operand_keys:
-            needed |= bits_of[key]
-        needed &= state.free_bits
+        needed = (state.scalar_bits
+                  | self._mask_obits(state.operand_mask)) & state.free_bits
         result = []
+        users_bits = self._users_bits
+        free = state.free_bits
         while needed:
             index = (needed & -needed).bit_length() - 1
             needed &= needed - 1
-            if self._users_bits[index] & state.free_bits:
+            if users_bits[index] & free:
                 continue  # users not yet decided
             result.append(index)
         return result
@@ -755,31 +749,43 @@ class BeamSearch:
     def _apply_scalar_fix(self, state: SearchState,
                           index: int) -> SearchState:
         inst = self._instructions[index]
-        inst_id = id(inst)
-        free_after = state.free_bits & ~(1 << index)
+        bit = 1 << index
+        free_after = state.free_bits & ~bit
         delta = self.model.scalar_cost(inst)
-        # costinsert(i, V): once per occurrence in a live vector operand.
+        # costinsert(i, V): occurrence lists are per element, so only
+        # operands actually containing the instruction are touched.
+        mask = state.operand_mask
         occurrences = 0
-        new_operand_keys = set()
-        bits_of = self._operand_bits_cache
-        elem_counts = self._operand_elem_counts
-        for key in state.operand_keys:
-            occurrences += elem_counts[key].get(inst_id, 0)
-            if bits_of[key] & free_after:
-                new_operand_keys.add(key)
+        for opbit, count in self._inst_occ.get(id(inst), ()):
+            if mask & opbit:
+                occurrences += count
         delta += self.model.c_insert * occurrences
+        # Only operands whose lanes contain the fixed instruction can
+        # become fully decided by this transition.
+        new_mask = mask
+        affected = mask & self._member_masks[index]
+        obits_by_id = self._obits_by_id
+        while affected:
+            opbit = affected & -affected
+            affected ^= opbit
+            if not (obits_by_id[opbit.bit_length() - 1] & free_after):
+                new_mask ^= opbit
 
-        scalars_after = state.scalar_bits & ~(1 << index)
-        dg = self.ctx.dep_graph
-        for op in inst.operands:
-            if dg.contains(op):
-                scalars_after |= 1 << dg.index(op)
+        opnd_bits = self._inst_opnd_bits.get(index)
+        if opnd_bits is None:
+            opnd_bits = 0
+            dg = self.ctx.dep_graph
+            for op in inst.operands:
+                if dg.contains(op):
+                    opnd_bits |= 1 << dg.index(op)
+            self._inst_opnd_bits[index] = opnd_bits
         # Uses are decided before defs, so every operand of a just-fixed
         # instruction is still free; mask defensively anyway.
-        scalars_after &= free_after
+        scalars_after = ((state.scalar_bits & ~bit) | opnd_bits) \
+            & free_after
 
         return SearchState(
-            frozenset(new_operand_keys),
+            new_mask,
             scalars_after,
             free_after,
             state.packs,
@@ -802,18 +808,10 @@ class BeamSearch:
         free = state.free_bits
         counted = self._expand_scalar_slices(state.scalar_bits) & free
         h = self.estimator.cost_of_bits(counted)
-        if not self._memoize:
-            for operand in self._live_operands(state):
-                cost, bits = self._operand_estimate(operand, free, counted,
-                                                    depth=3)
-                h += cost
-                counted |= bits
-            return h
-        # Memoized fast path: the per-operand loop below is
-        # _residual_entry + _operand_estimate inlined (hot-path hit rates
-        # are >95% on the probe-bound kernels, so the two call frames per
-        # operand were pure overhead).  Must stay semantically identical
-        # to those methods.
+        # The per-operand loop below is _residual_entry and the
+        # depth-3 estimate-memo probe inlined (hot-path hit rates are
+        # >95% on the probe-bound kernels, so the two call frames per
+        # operand were pure overhead).
         #
         # The loop also computes the scalar-completion total as a fused
         # by-product: _scalar_completion_uncached walks the same live
@@ -873,46 +871,29 @@ class BeamSearch:
         self._completion_memo[state.identity()] = comp
         return h
 
-    def _operand_estimate(self, operand: OperandVector, free: int,
-                          counted: int, depth: int):
+    def _estimate_residual(self, residual: OperandVector, real: int,
+                           raw_bits: int, free: int, counted: int,
+                           depth: int):
         """State-aware operand cost: like the Figure 7 recurrence, but
         slices are masked to still-free instructions and deduplicated
         against already-counted work — without this, everything already
         vectorized below an operand is double-charged and deep pack
         structures (idct4's pmaddwd layer) look unprofitable.
 
-        Memoized on ``(residual, free & closure, counted & closure,
-        depth)`` where *closure* is the residual's raw backward-slice
-        bitset.  Every quantity the recursion reads lives inside that
-        closure: slices are subsets of it, and producer sub-operands are
-        dependencies of the residual's values, so their own closures are
-        contained in it.  Masking ``free``/``counted`` down to the
-        closure is therefore exact — and it is what makes the memo hit:
-        a full ``(free, counted)`` key almost never repeats across
-        states (measured ~3% on dsp_sbc), the masked key does.  (Keying
-        on the operand's closure instead — skipping residual
-        construction on a hit — was tried and measured slower: the
-        operand closure is a superset of the residual's, and the finer
-        ``free`` masking costs more hit rate than the skipped residual
-        probes buy.)"""
-        triple = self._residual_entry(operand, free)
-        residual, real, raw_bits = triple[0], triple[1], triple[2]
-        memo = memo_key = None
-        if self._memoize:
-            memo = triple[3]
-            memo_key = (free & raw_bits, counted & raw_bits, depth)
-            cached = memo.get(memo_key)
-            if cached is not None:
-                return cached
-        result = self._estimate_residual(residual, real, raw_bits,
-                                         free, counted, depth)
-        if memo is not None:
-            memo[memo_key] = result
-        return result
-
-    def _estimate_residual(self, residual: OperandVector, real: int,
-                           raw_bits: int, free: int, counted: int,
-                           depth: int):
+        Callers memoize it on ``(free & closure, counted & closure,
+        depth)`` in the residual's triple, where *closure* is the
+        residual's raw backward-slice bitset.  Every quantity the
+        recursion reads lives inside that closure: slices are subsets of
+        it, and producer sub-operands are dependencies of the residual's
+        values, so their own closures are contained in it.  Masking
+        ``free``/``counted`` down to the closure is therefore exact — and
+        it is what makes the memo hit: a full ``(free, counted)`` key
+        almost never repeats across states (measured ~3% on dsp_sbc),
+        the masked key does.  (Keying on the operand's closure instead —
+        skipping residual construction on a hit — was tried and measured
+        slower: the operand closure is a superset of the residual's, and
+        the finer ``free`` masking costs more hit rate than the skipped
+        residual probes buy.)"""
         slice_bits = raw_bits & free
         best = (
             self.model.c_insert * max(real, 0)
@@ -923,29 +904,11 @@ class BeamSearch:
             return min(best, self.model.c_vector_const), 0
         if depth <= 0:
             return best, best_bits
-        if not self._memoize:
-            for pack in producers_for_operand(
-                    residual, self.ctx)[:_ESTIMATE_PRODUCER_CAP]:
-                cost = self.estimator.pack_op_cost(pack)
-                sub_counted = counted
-                for sub in pack.operands():
-                    sub_cost, sub_bits = self._operand_estimate(
-                        sub, free, sub_counted, depth - 1
-                    )
-                    cost += sub_cost
-                    sub_counted |= sub_bits
-                    if cost >= best:
-                        break
-                if cost < best:
-                    best = cost
-                    best_bits = sub_counted & ~counted
-            return best, best_bits
-        # Memoized fast path, priced from the producer table (op costs
-        # and interned sub-operands: no Pack objects).  Leaf
-        # sub-operands — most of them — go through _leaf_estimate; the
-        # others through _residual_entry + _operand_estimate inlined,
-        # same as the heuristic's operand loop — semantically
-        # identical, two fewer call frames per sub-operand probe.
+        # Priced from the producer table (op costs and interned
+        # sub-operands: no Pack objects).  Leaf sub-operands — most of
+        # them — go through _leaf_estimate; the others through
+        # _residual_entry and the estimate-memo probe inlined, same as
+        # the heuristic's operand loop.
         sub_depth = depth - 1
         leaf_estimate = self._leaf_estimate if sub_depth == 0 else None
         residual_memo = self._residual_memo
@@ -996,8 +959,8 @@ class BeamSearch:
 
     def _leaf_estimate(self, operand: OperandVector, free: int,
                        counted: int):
-        """``_operand_estimate(operand, free, counted, depth=0)`` without
-        the residual.  A leaf needs only the residual's real-lane count
+        """The depth-0 estimate of ``operand`` (``_estimate_residual`` on
+        its residual) without the residual.  A leaf needs only the residual's real-lane count
         and slice bits, which the operand's lanes give directly through
         the per-instruction slice table: no residual tuple, operand key
         or memo triple is built.  Leaves are not memoized: a memo on
@@ -1034,10 +997,6 @@ class BeamSearch:
         that mask; the triple itself is interned per residual identity
         (the unchanged-residual case collapses every mask that agrees
         on the operand's lanes onto one entry)."""
-        if not self._memoize:
-            return self._residual_triple(
-                self._residual_operand_uncached(operand, free_bits)
-            )
         entry = self._residual_memo.get(id(operand))
         if entry is None:
             entry = (operand, self._operand_bits(operand), {})
@@ -1072,12 +1031,6 @@ class BeamSearch:
         # Trailing dicts: per-residual estimate and completion-term
         # memos (see the _residual_info comment for the key layout).
         return (residual, real, raw_bits, {}, {})
-
-    def _residual_operand(self, operand: OperandVector,
-                          free_bits: int) -> OperandVector:
-        if not self._memoize:
-            return self._residual_operand_uncached(operand, free_bits)
-        return self._residual_entry(operand, free_bits)[0]
 
     def _residual_operand_uncached(self, operand: OperandVector,
                                    free_bits: int) -> OperandVector:
@@ -1119,16 +1072,13 @@ class BeamSearch:
 
         The completion cost is a pure function of the state's identity
         (V, S, F), so it is memoized on it."""
-        identity = None
-        if self._memoize:
-            identity = state.identity()
-            cached = self._completion_memo.get(identity)
-            if cached is not None:
-                self.ctx.counters.inc("slp.estimate_hits")
-                return cached
+        identity = state.identity()
+        cached = self._completion_memo.get(identity)
+        if cached is not None:
+            self.ctx.counters.inc("slp.estimate_hits")
+            return cached
         total = self._scalar_completion_uncached(state)
-        if identity is not None:
-            self._completion_memo[identity] = total
+        self._completion_memo[identity] = total
         return total
 
     def _scalar_completion_uncached(self, state: SearchState) -> float:
@@ -1137,18 +1087,10 @@ class BeamSearch:
         total = self.estimator.cost_of_bits(counted)
         c_insert = self.model.c_insert
         cost_of_bits = self.estimator.cost_of_bits
-        if not self._memoize:
-            for operand in self._live_operands(state):
-                triple = self._residual_entry(operand, free)
-                slice_bits = triple[2] & free
-                total += c_insert * triple[1]
-                total += cost_of_bits(slice_bits & ~counted)
-                counted |= slice_bits
-            return total
-        # Memoized fast path: _residual_entry and the per-operand term
-        # memo probe inlined (same discipline as the heuristic loop).
+        # _residual_entry and the per-operand term memo probe inlined
+        # (same discipline as the heuristic loop).
         # Per-operand terms are memoized on the closure-masked key (same
-        # exactness argument as _operand_estimate: everything the term
+        # exactness argument as _estimate_residual: everything the term
         # reads is inside the residual's backward closure).  Argument
         # lanes are excluded from the insert count: they were already
         # paid for by _foreign_element_cost when the operand entered V
@@ -1191,7 +1133,7 @@ class BeamSearch:
 
     def _complete(self, state: SearchState) -> SearchState:
         return SearchState(
-            frozenset(), 0, state.free_bits, state.packs,
+            0, 0, state.free_bits, state.packs,
             state.g + self._scalar_completion(state),
         )
 
@@ -1205,10 +1147,10 @@ class BeamSearch:
         whose remaining work has good producers, and the beam converges
         to near-scalar solutions.
 
-        ``bound`` (set when incumbent pruning is on) stops the rollout —
-        returning None — once ``g`` meets the incumbent cost: transition
-        and completion costs are non-negative, so the finished rollout
-        could never be kept."""
+        ``bound`` (the incumbent cost, when the beam calls it) stops the
+        rollout — returning None — once ``g`` meets it: transition and
+        completion costs are non-negative, so the finished rollout could
+        never be kept."""
         current = state
         lb = self._lb
         gate = getattr(self, "_rollout_gate", None)
@@ -1234,8 +1176,8 @@ class BeamSearch:
                     gate[0] += 1
             progressed = False
             for operand in self._live_operands(current):
-                residual = self._residual_operand(operand,
-                                                  current.free_bits)
+                residual = self._residual_entry(operand,
+                                                current.free_bits)[0]
                 pack = self.estimator.best_producer(residual)
                 if pack is None:
                     continue
@@ -1250,8 +1192,8 @@ class BeamSearch:
                 # add/sub layer).  A bad choice is harmless — the rollout
                 # result is only kept if it beats the incumbent.
                 for operand in self._live_operands(current):
-                    residual = self._residual_operand(operand,
-                                                      current.free_bits)
+                    residual = self._residual_entry(operand,
+                                                    current.free_bits)[0]
                     for pack in self._subtuple_packs_for(residual)[:4]:
                         child = self._apply_pack(current, pack)
                         if child is not None:
@@ -1271,10 +1213,8 @@ class BeamSearch:
         if patience is None:
             patience = self.ctx.config.patience
         counters = self.ctx.counters
-        prune = self._prune
-        lb_of = self._lb.bound if self._lb is not None else None
-        lb_total = (self._lb.provable_total
-                    if self._lb is not None else None)
+        lb_of = self._lb.bound
+        lb_total = self._lb.provable_total
         # Per-gate [evals, fires] for the self-tuning disable (the beam
         # phase pays a bound eval per check; an unproductive gate turns
         # itself off, the exact pass keeps the bound always-on).
@@ -1292,7 +1232,7 @@ class BeamSearch:
             children: Dict[Tuple, SearchState] = {}
             improved = False
             for parent in candidates:
-                if prune and parent.g >= best_solved.g:
+                if parent.g >= best_solved.g:
                     # Dominated parent: transition costs are
                     # non-negative, so every descendant is too.
                     counters.inc("beam.incumbent_prunes")
@@ -1303,161 +1243,138 @@ class BeamSearch:
                             best_solved = child
                             improved = True
                         continue
-                    if prune and child.g >= best_solved.g:
+                    if child.g >= best_solved.g:
                         # Incumbent (branch-and-bound) pruning: drop the
                         # child before completion, heuristic, and
                         # rollout — it can never improve the incumbent.
                         counters.inc("beam.incumbent_prunes")
                         continue
                     key = child.identity()
-                    if self._memoize:
-                        # Transposition table: a state with this same
-                        # (V, S, F) was already generated at equal or
-                        # better g — this re-derivation's completions,
-                        # rollouts, and transitions are all pointwise
-                        # dominated, so drop it before scoring.
-                        seen_g = self._tt.get(key)
-                        if seen_g is not None and seen_g <= child.g:
-                            counters.inc("beam.tt_hits")
-                            continue
-                        self._tt[key] = child.g
-                        children[key] = child
+                    # Transposition table: a state with this same
+                    # (V, S, F) was already generated at equal or better
+                    # g — this re-derivation's completions, rollouts,
+                    # and transitions are all pointwise dominated, so
+                    # drop it before scoring.
+                    seen_g = self._tt.get(key)
+                    if seen_g is not None and seen_g <= child.g:
+                        counters.inc("beam.tt_hits")
                         continue
-                    existing = children.get(key)
-                    if existing is None or child.g < existing.g:
-                        children[key] = child
+                    self._tt[key] = child.g
+                    children[key] = child
             scored = []
             deferred: List[SearchState] = []
-            if prune:
-                # Lazy heuristic scoring.  The beam keeps the k smallest
-                # f = g + h with h >= 0, so once k children are scored,
-                # any child whose g alone strictly exceeds the running
-                # kth-best f satisfies f >= g > kth-best-so-far >= final
-                # kth-best and provably cannot enter the beam — its
-                # (expensive) heuristic is never computed.  Children
-                # tying the bound are still scored, so equal-f beam
-                # ties resolve exactly as the eager path's stable sort
-                # would.  Skipped children are not lost: the deferred
-                # completion pass below is the only other place a
-                # non-beam child can matter.
-                topk: List[float] = []  # max-heap (negated) of k best f
-                for child in children.values():
-                    g = child.g
-                    if len(topk) == beam_width:
-                        kth = -topk[0]
-                        if g > kth:
-                            counters.inc("beam.heuristic_skips")
+            # Lazy heuristic scoring.  The beam keeps the k smallest
+            # f = g + h with h >= 0, so once k children are scored,
+            # any child whose g alone strictly exceeds the running
+            # kth-best f satisfies f >= g > kth-best-so-far >= final
+            # kth-best and provably cannot enter the beam — its
+            # (expensive) heuristic is never computed.  Children
+            # tying the bound are still scored, so equal-f beam
+            # ties resolve exactly as scoring every child would.  Skipped children are not lost: the deferred
+            # completion pass below is the only other place a
+            # non-beam child can matter.
+            topk: List[float] = []  # max-heap (negated) of k best f
+            for child in children.values():
+                g = child.g
+                if len(topk) == beam_width:
+                    kth = -topk[0]
+                    if g > kth:
+                        counters.inc("beam.heuristic_skips")
+                        deferred.append(child)
+                        continue
+                    # Admissible-bound strengthening of the same
+                    # gate: h dominates lb pointwise (every estimate path charges at
+                    # least the bound's amortized per-instruction
+                    # minima over the bits it counts — DESIGN.md
+                    # §16), so f = g + h >= g + lb > kth-best means
+                    # the child provably cannot enter the beam
+                    # either, and strict > preserves equal-f tie
+                    # resolution exactly.
+                    # Self-tuning: the gate pays a bound eval per
+                    # candidate, so if it almost never fires on
+                    # this search it turns itself off (skipping an
+                    # identity-preserving skip is just as
+                    # identity-preserving).
+                    if lb_of is not None:
+                        if g + lb_of(child) > kth:
+                            counters.inc(
+                                "beam.bound_heuristic_skips")
+                            gate1[1] += 1
                             deferred.append(child)
                             continue
-                        # Admissible-bound strengthening of the same
-                        # gate (config.bound="matching"): h dominates
-                        # lb pointwise (every estimate path charges at
-                        # least the bound's amortized per-instruction
-                        # minima over the bits it counts — DESIGN.md
-                        # §16), so f = g + h >= g + lb > kth-best means
-                        # the child provably cannot enter the beam
-                        # either, and strict > preserves the eager
-                        # path's equal-f tie resolution exactly.
-                        # Self-tuning: the gate pays a bound eval per
-                        # candidate, so if it almost never fires on
-                        # this search it turns itself off (skipping an
-                        # identity-preserving skip is just as
-                        # identity-preserving).
-                        if lb_of is not None:
-                            if g + lb_of(child) > kth:
-                                counters.inc(
-                                    "beam.bound_heuristic_skips")
-                                gate1[1] += 1
-                                deferred.append(child)
-                                continue
-                            gate1[0] += 1
-                            if gate1[0] >= _BOUND_GATE_MIN_EVALS and \
-                                    gate1[1] * _BOUND_GATE_FIRE_RATIO \
-                                    < gate1[0]:
-                                lb_of = None
-                    h = self.heuristic(child)
-                    if h == INFINITY:
-                        continue
-                    f = g + h
-                    # Tie-break equal f-scores toward states that have
-                    # made more vectorization progress.
-                    scored.append((f, -len(child.packs), child))
-                    if len(topk) < beam_width:
-                        heappush(topk, -f)
-                    elif f < -topk[0]:
-                        heapreplace(topk, -f)
-            else:
-                for child in children.values():
-                    # Exhaustive scoring (the pre-engine search path):
-                    # complete every surviving child before ranking.
-                    completed = self._complete(child)
-                    if completed.g < best_solved.g:
-                        best_solved = completed
-                        improved = True
-                    h = self.heuristic(child)
-                    if h == INFINITY:
-                        continue
-                    scored.append((child.g + h, -len(child.packs), child))
+                        gate1[0] += 1
+                        if gate1[0] >= _BOUND_GATE_MIN_EVALS and \
+                                gate1[1] * _BOUND_GATE_FIRE_RATIO \
+                                < gate1[0]:
+                            lb_of = None
+                h = self.heuristic(child)
+                if h == INFINITY:
+                    continue
+                f = g + h
+                # Tie-break equal f-scores toward states that have
+                # made more vectorization progress.
+                scored.append((f, -len(child.packs), child))
+                if len(topk) < beam_width:
+                    heappush(topk, -f)
+                elif f < -topk[0]:
+                    heapreplace(topk, -f)
             scored.sort(key=lambda item: (item[0], item[1]))
             outside_beam = len(scored) + len(deferred) - beam_width
             if outside_beam > 0:
                 counters.inc("beam.candidates_pruned", outside_beam)
             candidates = [c for _, _, c in scored[:beam_width]]
-            if prune:
-                # Lazy child completion: only beam survivors — plus any
-                # child whose f = g + h still beats the incumbent (h
-                # under-estimates the scalar completion, so every child
-                # whose completion could win is covered) — are
-                # completed.  Completion work scales with the beam
-                # width, not the branching factor.
-                for rank, (f, _, child) in enumerate(scored):
-                    if rank >= beam_width and f >= best_solved.g:
+            # Lazy child completion: only beam survivors — plus any
+            # child whose f = g + h still beats the incumbent (h
+            # under-estimates the scalar completion, so every child
+            # whose completion could win is covered) — are
+            # completed.  Completion work scales with the beam
+            # width, not the branching factor.
+            for rank, (f, _, child) in enumerate(scored):
+                if rank >= beam_width and f >= best_solved.g:
+                    continue
+                completed = self._complete(child)
+                if completed.g < best_solved.g:
+                    best_solved = completed
+                    improved = True
+            # Deferred children have no f, so gate on g instead.
+            # This completes a superset of what an f-gate would
+            # (g <= f), and the extras are provably no-ops: h
+            # under-estimates the scalar completion, so any child an
+            # f-gate skips has completed.g >= f >= incumbent and can
+            # never update it.  Both gates only drop provably-useless
+            # completions, so best_solved leaves this block as if
+            # every child had been completed.
+            for child in deferred:
+                if child.g >= best_solved.g:
+                    continue
+                # Admissible-bound gate: the completion cost is at
+                # least g + lb, so meeting the incumbent here means
+                # the completed state could never be adopted (the
+                # update below requires strict <) — skipping the
+                # completion is identity-preserving.
+                if lb_total is not None:
+                    if lb_total(child, child.g) >= best_solved.g:
+                        counters.inc("beam.bound_completion_skips")
+                        gate3[1] += 1
                         continue
-                    completed = self._complete(child)
-                    if completed.g < best_solved.g:
-                        best_solved = completed
-                        improved = True
-                # Deferred children have no f, so gate on g instead.
-                # This completes a superset of what the eager path
-                # would (g <= f), and the extras are provably no-ops:
-                # h under-estimates the scalar completion, so any child
-                # the eager f-gate skips has completed.g >= f >=
-                # incumbent and can never update it.  Both gates only
-                # drop provably-useless completions, so best_solved
-                # leaves this block identical to the eager path's.
-                for child in deferred:
-                    if child.g >= best_solved.g:
-                        continue
-                    # Admissible-bound gate: the completion cost is at
-                    # least g + lb, so meeting the incumbent here means
-                    # the completed state could never be adopted (the
-                    # update below requires strict <) — skipping the
-                    # completion is identity-preserving.
-                    if lb_total is not None:
-                        if lb_total(child, child.g) >= best_solved.g:
-                            counters.inc("beam.bound_completion_skips")
-                            gate3[1] += 1
-                            continue
-                        gate3[0] += 1
-                        if gate3[0] >= _BOUND_GATE_MIN_EVALS and \
-                                gate3[1] * _BOUND_GATE_FIRE_RATIO \
-                                < gate3[0]:
-                            lb_total = None
-                    completed = self._complete(child)
-                    if completed.g < best_solved.g:
-                        best_solved = completed
-                        improved = True
+                    gate3[0] += 1
+                    if gate3[0] >= _BOUND_GATE_MIN_EVALS and \
+                            gate3[1] * _BOUND_GATE_FIRE_RATIO \
+                            < gate3[0]:
+                        lb_total = None
+                completed = self._complete(child)
+                if completed.g < best_solved.g:
+                    best_solved = completed
+                    improved = True
             # Rollout completion of the surviving candidates: greedy SLP
             # extension finds full solutions long before the beam walks
             # there step by step.
             for candidate in candidates:
-                if prune and candidate.g >= best_solved.g:
+                if candidate.g >= best_solved.g:
                     counters.inc("beam.incumbent_prunes")
                     continue
                 counters.inc("beam.rollouts")
-                rolled = self._rollout(
-                    candidate, bound=best_solved.g if prune else None
-                )
+                rolled = self._rollout(candidate, bound=best_solved.g)
                 if rolled is not None and rolled.g < best_solved.g:
                     best_solved = rolled
                     improved = True
@@ -1483,251 +1400,6 @@ class BeamSearch:
             if stale >= patience:
                 break
         return best_solved
-
-
-class BitsetBeamSearch(BeamSearch):
-    """The beam engine on a bitset-native state representation.
-
-    A state's live-operand set ``V`` is a big-int bitmask over *dense
-    operand ids* — bit ``i`` is the operand registered ``i``-th — so a
-    state is three ints plus its pack tuple, ``identity()`` is an int
-    triple, and every transition is mask AND/OR/ANDNOT arithmetic over
-    tables built at registration time:
-
-    * ``_ops_by_id`` / ``_obits_by_id`` — id -> operand / produced-bits
-      (flat lists; one index replaces a tuple-keyed dict probe),
-    * ``_member_masks`` — instruction index -> mask of operand ids whose
-      lanes contain it (scalar fixes retest only those),
-    * ``_inst_occ`` — element id -> [(operand-id bit, occurrence count)]
-      (the Figure 9 costinsert term as mask tests).
-
-    **Invariant: dense ids are registration order.**  LSB-first mask
-    iteration therefore visits operands in exactly the order the legacy
-    engine's ``_sorted_keys`` (registration-order sort) does, every
-    float is accumulated in the same sequence, and the explored state
-    trajectory — hence packs and cost — is bit-identical
-    (``tests/test_bitset_differential.py``).
-    """
-
-    def __init__(self, ctx: VectorizationContext):
-        self._ops_by_id: List[OperandVector] = []
-        self._obits_by_id: List[int] = []
-        self._member_masks: List[int] = []
-        self._inst_occ: Dict[int, List[Tuple[int, int]]] = {}
-        self._inst_opnd_bits: Dict[int, int] = {}
-        # operand mask -> [operands] / union of operand bits.  Pure
-        # per-mask caches (contents are functions of the mask alone);
-        # masks repeat heavily across heuristic/completion/expand calls.
-        self._live_ops_memo: Dict[int, List[OperandVector]] = {}
-        #: Union of the produced-bits of every operand id in a mask.
-        self._mask_obits = _mask_obits_fn(self._obits_by_id, {})
-        super().__init__(ctx)
-        # No operand is registered during base setup (seed enumeration
-        # only touches feasibility tables); sized now that the
-        # instruction list exists.
-        self._member_masks = [0] * len(self._instructions)
-
-    # -- dense-id registry -------------------------------------------------
-
-    def _register_operand(self, operand: OperandVector) -> Tuple:
-        key = self.ctx.operand_key_of(operand)
-        if key not in self._operand_order:
-            super()._register_operand(operand)
-            obits = self._operand_bits_cache[key]
-            opbit = 1 << len(self._ops_by_id)
-            self._ops_by_id.append(self._operand_registry[key])
-            self._obits_by_id.append(obits)
-            member = self._member_masks
-            remaining = obits
-            while remaining:
-                index = (remaining & -remaining).bit_length() - 1
-                remaining &= remaining - 1
-                member[index] |= opbit
-            occ = self._inst_occ
-            for eid, count in self._operand_elem_counts[key].items():
-                entry = occ.get(eid)
-                if entry is None:
-                    occ[eid] = [(opbit, count)]
-                else:
-                    entry.append((opbit, count))
-            self.ctx.counters.inc("beam.bitset_operands")
-        return key
-
-    def _live_operands(self, state: SearchState) -> List[OperandVector]:
-        mask = state.operand_keys
-        ops = self._live_ops_memo.get(mask)
-        if ops is None:
-            ops = []
-            ops_by_id = self._ops_by_id
-            remaining = mask
-            while remaining:
-                bit = remaining & -remaining
-                remaining ^= bit
-                ops.append(ops_by_id[bit.bit_length() - 1])
-            self._live_ops_memo[mask] = ops
-        return ops
-
-    def _make_state_obits(self) -> Callable[[SearchState], int]:
-        mask_obits = self._mask_obits
-        return lambda state: mask_obits(state.operand_keys)
-
-    # -- states and transitions --------------------------------------------
-
-    def initial_state(self) -> SearchState:
-        base = super().initial_state()
-        return SearchState(0, base.scalar_bits, base.free_bits, (), 0.0)
-
-    def _complete(self, state: SearchState) -> SearchState:
-        return SearchState(
-            0, 0, state.free_bits, state.packs,
-            state.g + self._scalar_completion(state),
-        )
-
-    def _apply_pack(self, state: SearchState,
-                    pack: Pack) -> Optional[SearchState]:
-        _, vbits, users, fmask, reject = self._pack_feasibility(pack)
-        if vbits == 0:
-            return None
-        free_bits = state.free_bits
-        masked = free_bits & fmask
-        if masked in reject:
-            self.ctx.counters.inc("beam.apply_reject_hits")
-            return None
-        if (vbits & free_bits) != vbits:
-            reject[masked] = True
-            return None  # some produced value already decided
-        if users & free_bits:
-            reject[masked] = True
-            return None  # an undecided user remains (Fig. 9 side cond.)
-
-        (_, op_cost, _produced_key, entries, interior,
-         produces_memo) = self._pack_apply_info(pack)
-        free_after = free_bits & ~vbits
-        delta = op_cost
-        if not pack.is_store:
-            delta += self.model.c_extract * _bit_count(
-                vbits & state.scalar_bits
-            )
-        # costshuffle(p, V), by dense id.  The produced operand needs no
-        # key comparison here: if a live operand *is* the produced
-        # vector, _produces answers True (operand keys are id-exact for
-        # instruction lanes) and the memo result is False — same
-        # outcome, one int probe.  produces_memo is keyed by dense id in
-        # this engine (the legacy engine keys it by operand key; the
-        # tables are per-instance, so the keyspaces never mix).
-        c_shuffle = self.model.c_shuffle
-        ops_by_id = self._ops_by_id
-        obits_by_id = self._obits_by_id
-        new_mask = 0
-        remaining = state.operand_keys
-        while remaining:
-            bit = remaining & -remaining
-            remaining ^= bit
-            opid = bit.bit_length() - 1
-            obits = obits_by_id[opid]
-            if obits & free_after:
-                new_mask |= bit  # still unresolved
-            if obits & vbits:
-                needs_shuffle = produces_memo.get(opid)
-                if needs_shuffle is None:
-                    needs_shuffle = not self._produces(pack,
-                                                       ops_by_id[opid])
-                    produces_memo[opid] = needs_shuffle
-                if needs_shuffle:
-                    delta += c_shuffle
-
-        scalar_additions = 0
-        for kind, obits, cost, _key, order in entries:
-            delta += cost
-            if kind == _OP_BROADCAST:
-                scalar_additions |= obits
-            elif kind == _OP_REGISTER:
-                new_mask |= 1 << order
-
-        scalars_after = (state.scalar_bits | scalar_additions) & ~vbits
-        if interior:
-            free_after = self._drop_dead_covered_mask(
-                interior, free_after, scalars_after, new_mask
-            )
-        return SearchState(
-            new_mask,
-            scalars_after,
-            free_after,
-            state.packs + (pack,),
-            state.g + delta,
-        )
-
-    def _drop_dead_covered_mask(self, interior: Tuple[int, ...],
-                                free_bits: int, scalar_bits: int,
-                                op_mask: int) -> int:
-        needed = scalar_bits | self._mask_obits(op_mask)
-        users_bits = self._users_bits
-        for index in interior:
-            bit = 1 << index
-            if not (free_bits & bit) or (needed & bit):
-                continue
-            if users_bits[index] & free_bits:
-                continue
-            free_bits &= ~bit
-        return free_bits
-
-    def _scalar_fix_candidates(self, state: SearchState) -> List[int]:
-        needed = (state.scalar_bits
-                  | self._mask_obits(state.operand_keys)) & state.free_bits
-        result = []
-        users_bits = self._users_bits
-        free = state.free_bits
-        while needed:
-            index = (needed & -needed).bit_length() - 1
-            needed &= needed - 1
-            if users_bits[index] & free:
-                continue  # users not yet decided
-            result.append(index)
-        return result
-
-    def _apply_scalar_fix(self, state: SearchState,
-                          index: int) -> SearchState:
-        inst = self._instructions[index]
-        bit = 1 << index
-        free_after = state.free_bits & ~bit
-        delta = self.model.scalar_cost(inst)
-        # costinsert(i, V): occurrence lists are per element, so only
-        # operands actually containing the instruction are touched.
-        mask = state.operand_keys
-        occurrences = 0
-        for opbit, count in self._inst_occ.get(id(inst), ()):
-            if mask & opbit:
-                occurrences += count
-        delta += self.model.c_insert * occurrences
-        # Only operands whose lanes contain the fixed instruction can
-        # become fully decided by this transition.
-        new_mask = mask
-        affected = mask & self._member_masks[index]
-        obits_by_id = self._obits_by_id
-        while affected:
-            opbit = affected & -affected
-            affected ^= opbit
-            if not (obits_by_id[opbit.bit_length() - 1] & free_after):
-                new_mask ^= opbit
-
-        opnd_bits = self._inst_opnd_bits.get(index)
-        if opnd_bits is None:
-            opnd_bits = 0
-            dg = self.ctx.dep_graph
-            for op in inst.operands:
-                if dg.contains(op):
-                    opnd_bits |= 1 << dg.index(op)
-            self._inst_opnd_bits[index] = opnd_bits
-        scalars_after = ((state.scalar_bits & ~bit) | opnd_bits) \
-            & free_after
-
-        return SearchState(
-            new_mask,
-            scalars_after,
-            free_after,
-            state.packs,
-            state.g + delta,
-        )
 
 
 def exhaustive_search(search: BeamSearch,
@@ -1760,8 +1432,7 @@ def exhaustive_search(search: BeamSearch,
     whose subtrees were beam-width-pruned without exploration, so
     reusing it here would unsoundly skip them.
 
-    Under ``config.bound="matching"`` the search additionally prunes
-    with the admissible lower bound (:mod:`repro.vectorizer.bounds`):
+    The search additionally prunes with the admissible lower bound (:mod:`repro.vectorizer.bounds`):
     a branch is cut once ``g + lb`` meets the incumbent — the
     completion of every descendant costs at least that — or strictly
     exceeds the proved warm bound (composing the cached-incumbent and
@@ -1781,13 +1452,10 @@ def exhaustive_search(search: BeamSearch,
         memo = {}
     if counters is None:
         counters = NULL_COUNTERS
-    lb_total = (search._lb.provable_total
-                if search._lb is not None else None)
+    lb_total = search._lb.provable_total
     # Dominance memo: (S, F) -> [(V, obits(V) & F, g)] of explored
-    # states, capped per class.  Gated with the bound provider (both
-    # ride config.bound="matching").
-    dom: Optional[Dict[Tuple[int, int], List[Tuple]]] = \
-        {} if lb_total is not None else None
+    # states, capped per class.
+    dom: Dict[Tuple[int, int], List[Tuple]] = {}
     root = search.initial_state()
     best = search._complete(root)
     if incumbent is not None and incumbent.g < best.g:
@@ -1826,25 +1494,22 @@ def exhaustive_search(search: BeamSearch,
         if child.solved:
             best = child  # g < best.g checked above
             continue
-        if lb_total is not None:
-            total = lb_total(child, child.g)
-            # Sound subtree cut: every completion below costs at least
-            # ceil(g + lb) (totals are integral).  Meeting the
-            # incumbent (adoption needs strict <) or strictly exceeding
-            # the proved warm bound (the optimum, and the first-found
-            # optimal state, live on provable-total <= bound paths)
-            # makes the subtree worthless.
-            if total >= best.g or \
-                    (bound is not None and total > bound):
-                counters.inc("beam.bound_prunes")
-                continue
+        total = lb_total(child, child.g)
+        # Sound subtree cut: every completion below costs at least
+        # ceil(g + lb) (totals are integral).  Meeting the incumbent
+        # (adoption needs strict <) or strictly exceeding the proved
+        # warm bound (the optimum, and the first-found optimal state,
+        # live on provable-total <= bound paths) makes the subtree
+        # worthless.
+        if total >= best.g or (bound is not None and total > bound):
+            counters.inc("beam.bound_prunes")
+            continue
         key = child.identity()
         seen = memo.get(key)
         if seen is not None and seen <= child.g:
             continue
         memo[key] = child.g
-        if dom is not None and _dominance_cut(search, dom, child,
-                                              counters):
+        if _dominance_cut(search, dom, child, counters):
             continue
         if not _enter(child):
             proved = False
@@ -1882,24 +1547,18 @@ def _dominance_cut(search: BeamSearch, dom: Dict, state: SearchState,
     sequence is legal for the dominator at pointwise no-greater cost
     (fewer shuffle/insert terms, identical drops).  Undominated states
     are remembered (capped) for later children of the class."""
-    v = state.operand_keys
-    obits = search._state_obits(state) & state.free_bits
+    v = state.operand_mask
+    obits = search._mask_obits(v) & state.free_bits
     key = (state.scalar_bits, state.free_bits)
     entries = dom.get(key)
     if entries is None:
         dom[key] = [(v, obits, state.g)]
         return False
     g = state.g
-    if type(v) is int:
-        for v0, ob0, g0 in entries:
-            if g0 <= g and ob0 == obits and (v0 & v) == v0:
-                counters.inc("beam.bound_dominance_cuts")
-                return True
-    else:
-        for v0, ob0, g0 in entries:
-            if g0 <= g and ob0 == obits and v0 <= v:
-                counters.inc("beam.bound_dominance_cuts")
-                return True
+    for v0, ob0, g0 in entries:
+        if g0 <= g and ob0 == obits and (v0 & v) == v0:
+            counters.inc("beam.bound_dominance_cuts")
+            return True
     if len(entries) < _DOMINANCE_CLASS_CAP:
         entries.append((v, obits, g))
     return False
@@ -1910,10 +1569,10 @@ def select_packs(ctx: VectorizationContext) -> Tuple[List[Pack], float]:
 
     An empty pack list means "leave the block scalar".
 
-    Dispatches on the config: ``bitset`` picks the engine, ``exact``
-    appends the exhaustive branch-and-bound pass (seeded with the beam's
-    incumbent, so never worse), ``warm_start`` consults the
-    content-addressed cost cache for an early-stop/prune bound.
+    Dispatches on the config: ``exact`` appends the exhaustive
+    branch-and-bound pass (seeded with the beam's incumbent, so never
+    worse), ``warm_start`` consults the content-addressed cost cache for
+    an early-stop/prune bound.
 
     Allocation discipline: the cyclic garbage collector is paused for
     the duration of the search, which allocates millions of
@@ -1965,11 +1624,7 @@ def _run_search(ctx: VectorizationContext, warm_entry
     ``(packs, cost, proved)`` of the selected state, or None."""
     config = ctx.config
     counters = ctx.counters
-    if config.bitset:
-        counters.inc("beam.bitset_runs")
-        search: BeamSearch = BitsetBeamSearch(ctx)
-    else:
-        search = BeamSearch(ctx)
+    search = BeamSearch(ctx)
     if warm_entry is not None:
         search._warm_bound = warm_entry[0]
     solved = search.run(config.beam_width)

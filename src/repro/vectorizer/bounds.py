@@ -1,4 +1,4 @@
-"""Admissible lower bounds for the Figure 9 search (``config.bound``).
+"""Admissible lower bounds for the Figure 9 search.
 
 :class:`MatchingLowerBound` maps a search state ``(V, S, F)`` to a cost
 ``lb`` with ``lb <= cost of every completion of the state`` — a *true*
@@ -115,15 +115,12 @@ from repro.ir.instructions import (
     StoreInst,
 )
 
-#: Bound-provider selection values for ``VectorizerConfig.bound``.
-BOUND_MODES = ("slp", "matching")
-
 _CHUNK = 0xFFFFFFFFFFFFFFFF
 _INFINITY = float("inf")
 
 
 class MatchingLowerBound:
-    """Per-search admissible bound provider (one instance per engine).
+    """Per-search admissible bound provider (one instance per search).
 
     Construction precomputes the per-instruction charge tables and the
     forced-closure bitsets from registration-time data (dependence

@@ -261,6 +261,28 @@ class TestBenchCLI:
         assert "REGRESSION" in captured.out
         assert "cost ratio regressed" in captured.out
 
+    def test_bench_compare_reads_baseline_before_overwriting_it(
+            self, tmp_path, capsys):
+        """``--compare`` naming the ``--out`` file (regenerating the
+        committed trajectory in place) gates against the old contents,
+        not the freshly written ones."""
+        path = tmp_path / "BENCH_vegen.json"
+        doc = run_bench(kernel_names=["complex_mul"], targets=["sse4"],
+                        beam_width=2)
+        golden = copy.deepcopy(doc)
+        for cell in golden["results"]:
+            cell["cost_ratio"] /= 2.0
+            cell["vector_cost"] /= 2.0
+        write_bench(golden, str(path))
+        status = main(["bench", "--kernel", "complex_mul",
+                       "--targets", "sse4", "--beam-width", "2",
+                       "--quiet", "--out", str(path),
+                       "--compare", str(path)])
+        assert status == 1
+        assert "cost ratio regressed" in capsys.readouterr().out
+        assert load_bench(str(path))["results"][0]["cost_ratio"] == \
+            doc["results"][0]["cost_ratio"]
+
     def test_bench_profile_records_top_functions(self, tmp_path, capsys):
         out = tmp_path / "prof.json"
         status = main(["bench", "--kernel", "complex_mul",

@@ -1,7 +1,7 @@
 """Property tests for the admissible matching bound (`repro.vectorizer.bounds`).
 
 Three contracts, hypothesis-sampled along *real* search trajectories
-(states reachable by ``expand()`` from the root, both engines):
+(states reachable by ``expand()`` from the root):
 
 * **Admissibility** — ``lb(state) <= optimal completion cost - g``,
   checked against a memoized exhaustive completion of the state (the
@@ -36,22 +36,21 @@ from repro.vectorizer import (
     VectorizerConfig,
     clone_function,
 )
-from repro.vectorizer.beam import BeamSearch, BitsetBeamSearch
+from repro.vectorizer.beam import BeamSearch
 
 from tests.test_optimal_oracle import TINY_KERNELS
 
 EPS = 1e-9
 ORACLE_KERNELS = ("pair_add", "hadd", "addsub")
 TARGETS = ("sse4", "avx2", "neon128")
-ENGINES = (BitsetBeamSearch, BeamSearch)
 
 _search_cache = {}
 
 
-def _search_for(kernel, target, engine):
-    """One search per (kernel, target, engine) — construction dominates
-    the per-example cost, and searches are stateless across reads."""
-    key = (kernel, target, engine.__name__)
+def _search_for(kernel, target):
+    """One search per (kernel, target) — construction dominates the
+    per-example cost, and searches are stateless across reads."""
+    key = (kernel, target)
     search = _search_cache.get(key)
     if search is None:
         fn = clone_function(compile_kernel(TINY_KERNELS[kernel]))
@@ -62,7 +61,7 @@ def _search_for(kernel, target, engine):
             seed_packs_per_value=1,
         )
         ctx = VectorizationContext(fn, get_target(target), config=config)
-        search = engine(ctx)
+        search = BeamSearch(ctx)
         _search_cache[key] = search
     return search
 
@@ -114,7 +113,6 @@ def _optimal_completion(search, state, budget=20000):
 trajectory = st.tuples(
     st.sampled_from(ORACLE_KERNELS),
     st.sampled_from(TARGETS),
-    st.sampled_from(ENGINES),
     st.lists(st.integers(min_value=0, max_value=7), max_size=4),
 )
 
@@ -123,8 +121,8 @@ trajectory = st.tuples(
           suppress_health_check=[HealthCheck.too_slow])
 @given(trajectory)
 def test_bound_admissible_on_trajectory_states(sample):
-    kernel, target, engine, path = sample
-    search = _search_for(kernel, target, engine)
+    kernel, target, path = sample
+    search = _search_for(kernel, target)
     state = _walk(search, path)
     if state.solved:
         return
@@ -132,7 +130,7 @@ def test_bound_admissible_on_trajectory_states(sample):
     optimal, exhausted = _optimal_completion(search, state)
     if exhausted:
         assert lb <= (optimal - state.g) + EPS, (
-            f"{kernel}/{target}/{engine.__name__}: lb={lb} exceeds "
+            f"{kernel}/{target}: lb={lb} exceeds "
             f"optimal completion {optimal - state.g}"
         )
         # The integral-ceiled provable total obeys the same contract.
@@ -143,15 +141,15 @@ def test_bound_admissible_on_trajectory_states(sample):
           suppress_health_check=[HealthCheck.too_slow])
 @given(trajectory)
 def test_heuristic_dominates_bound(sample):
-    kernel, target, engine, path = sample
-    search = _search_for(kernel, target, engine)
+    kernel, target, path = sample
+    search = _search_for(kernel, target)
     state = _walk(search, path)
     if state.solved:
         return
     lb = search._lb.bound(state)
     h = search.heuristic(state)
     assert h >= lb - EPS, (
-        f"{kernel}/{target}/{engine.__name__}: h={h} < lb={lb}"
+        f"{kernel}/{target}: h={h} < lb={lb}"
     )
 
 
@@ -159,8 +157,8 @@ def test_heuristic_dominates_bound(sample):
           suppress_health_check=[HealthCheck.too_slow])
 @given(trajectory)
 def test_bound_consistent_across_transitions(sample):
-    kernel, target, engine, path = sample
-    search = _search_for(kernel, target, engine)
+    kernel, target, path = sample
+    search = _search_for(kernel, target)
     state = _walk(search, path)
     if state.solved:
         return
@@ -169,7 +167,7 @@ def test_bound_consistent_across_transitions(sample):
         delta = child.g - state.g
         lb_child = 0.0 if child.solved else search._lb.bound(child)
         assert lb_parent <= delta + lb_child + EPS, (
-            f"{kernel}/{target}/{engine.__name__}: lb(parent)="
+            f"{kernel}/{target}: lb(parent)="
             f"{lb_parent} > delta {delta} + lb(child) {lb_child}"
         )
 
@@ -177,7 +175,7 @@ def test_bound_consistent_across_transitions(sample):
 def test_root_bound_positive_and_finite():
     """The root owes at least the stores: a positive, finite bound."""
     for target in TARGETS:
-        search = _search_for("pair_add", target, BitsetBeamSearch)
+        search = _search_for("pair_add", target)
         root = search.initial_state()
         lb = search._lb.bound(root)
         assert 0.0 < lb < float("inf")
@@ -185,7 +183,7 @@ def test_root_bound_positive_and_finite():
 
 def test_solved_states_bound_zero():
     """A solved state owes nothing (free core is empty)."""
-    search = _search_for("pair_add", "sse4", BitsetBeamSearch)
+    search = _search_for("pair_add", "sse4")
     solved = search._complete(search.initial_state())
     assert search._lb.bound(solved) == 0.0
 
@@ -195,9 +193,8 @@ def test_bound_never_exceeds_all_scalar_completion(target):
     """Cheap corollary of admissibility that needs no oracle: the
     all-scalar completion is one particular completion."""
     for kernel in ORACLE_KERNELS:
-        for engine in ENGINES:
-            search = _search_for(kernel, target, engine)
-            root = search.initial_state()
-            scalar_total = search._complete(root).g
-            lb = search._lb.bound(root)
-            assert root.g + lb <= scalar_total + EPS
+        search = _search_for(kernel, target)
+        root = search.initial_state()
+        scalar_total = search._complete(root).g
+        lb = search._lb.bound(root)
+        assert root.g + lb <= scalar_total + EPS

@@ -1,16 +1,10 @@
-"""Differential tests for the PR 2 hot-path overhaul.
+"""Output-pinning tests for the worklist canonicalizer.
 
-The worklist canonicalizer and the beam-search memoization layer are
-pure performance changes: they must not alter a single byte of output.
-Three oracles enforce that:
-
-* golden files (``tests/golden/canon/*.ll``) captured from the seed
-  implementation's fixpoint canonicalizer, one per bundled kernel;
-* ``_legacy_canonicalize``, the seed fixpoint driver kept in-tree,
-  run side-by-side on the same inputs;
-* ``VectorizerConfig(memoize=False)``, which disables every
-  search-layer memo and the transposition table, run end-to-end
-  against the default memoized configuration.
+Golden files (``tests/golden/canon/*.ll``) captured from the seed
+implementation's fixpoint canonicalizer pin the canonical IR of every
+bundled kernel byte for byte; the worklist driver must reproduce them,
+reach a fixpoint in one run, and leave no dead speculative instructions
+behind.
 """
 
 import os
@@ -19,28 +13,23 @@ import pytest
 
 from repro.ir.printer import print_function
 from repro.kernels import all_kernels
-from repro.patterns.canonicalize import (
-    _legacy_canonicalize,
-    canonicalize_function,
-)
-from repro.vectorizer import clone_function, vectorize
-from repro.vectorizer.context import VectorizerConfig
+from repro.patterns.canonicalize import canonicalize_function
+from repro.vectorizer import clone_function
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden", "canon")
 
 KERNELS = all_kernels()
 
-#: Kernels small enough to run the quadratic legacy driver on in a unit
-#: test; the golden files cover the big ones (dsp_idct8, dsp_sbc).
+#: Kernels small enough to recanonicalize cheaply in a unit test.
 SMALL_KERNELS = sorted(
     name for name, fn in KERNELS.items()
     if len(fn.entry.instructions) < 400
 )
 
 
-def _canonicalized_text(name, driver):
+def _canonicalized_text(name):
     work = clone_function(KERNELS[name])
-    driver(work)
+    canonicalize_function(work)
     work.assign_names()
     return print_function(work)
 
@@ -53,7 +42,7 @@ class TestGoldenCanonicalization:
         path = os.path.join(GOLDEN_DIR, name + ".ll")
         with open(path) as handle:
             golden = handle.read()
-        assert _canonicalized_text(name, canonicalize_function) == golden
+        assert _canonicalized_text(name) == golden
 
     def test_goldens_cover_every_kernel(self):
         files = {n[:-3] for n in os.listdir(GOLDEN_DIR)
@@ -61,52 +50,12 @@ class TestGoldenCanonicalization:
         assert files == set(KERNELS)
 
 
-class TestLegacyDifferential:
-    """Worklist driver vs the preserved fixpoint driver, side by side."""
-
-    @pytest.mark.parametrize("name", SMALL_KERNELS)
-    def test_same_ir_as_legacy(self, name):
-        assert (
-            _canonicalized_text(name, canonicalize_function)
-            == _canonicalized_text(name, _legacy_canonicalize)
-        )
-
+class TestWorklistDriver:
     def test_idempotent_after_worklist(self):
         for name in SMALL_KERNELS[:6]:
             work = clone_function(KERNELS[name])
             canonicalize_function(work)
             assert canonicalize_function(work) == 0
-
-
-class TestMemoizationDifferential:
-    """memoize=True vs memoize=False: byte-identical vectorization."""
-
-    CELLS = [
-        ("complex_mul", "sse4"),
-        ("dsp_idct4", "sse4"),
-        ("dsp_fft4", "avx2"),
-        ("isel_pmaddwd", "sse4"),
-        ("opencv_int16x16", "avx2"),
-    ]
-
-    @pytest.mark.parametrize("kernel,target", CELLS)
-    def test_same_program_with_and_without_memos(self, kernel, target):
-        runs = {}
-        for memoize in (True, False):
-            config = VectorizerConfig(beam_width=8, memoize=memoize)
-            result = vectorize(KERNELS[kernel], target=target,
-                               beam_width=8, config=config)
-            # Pack keys embed value ids, which differ between the two
-            # cloned runs; the program dump is the id-free rendering of
-            # the selected packs and emitted code.
-            runs[memoize] = (
-                result.program.dump(),
-                [type(p).__name__ for p in result.packs],
-                result.cost.total,
-                result.scalar_cost,
-                result.estimated_cost,
-            )
-        assert runs[True] == runs[False]
 
 
 class TestNarrowLeak:

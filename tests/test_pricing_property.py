@@ -31,7 +31,7 @@ from repro.vectorizer import (
     VectorizerConfig,
     clone_function,
 )
-from repro.vectorizer.beam import BitsetBeamSearch
+from repro.vectorizer.beam import BeamSearch
 from repro.vectorizer.producers import producer_table, producers_for_operand
 
 from tests.test_optimal_oracle import TINY_KERNELS
@@ -69,7 +69,7 @@ def _search_for(kernel, target):
         canonicalize_function(fn)
         ctx = VectorizationContext(fn, get_target(target),
                                    config=VectorizerConfig(beam_width=8))
-        search = BitsetBeamSearch(ctx)
+        search = BeamSearch(ctx)
         _search_cache[key] = search
     return search
 

@@ -5,7 +5,6 @@ random-testing validation, as a property test)."""
 import random
 
 import pytest
-from hypothesis import strategies as st
 
 from repro.bitvector import evaluate as bv_evaluate
 from repro.pseudocode import (

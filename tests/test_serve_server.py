@@ -103,6 +103,7 @@ def test_request_validation_errors(server):
         ({"source": _C_SRC, "timeout_s": -2}, "timeout_s"),
         ({"source": _C_SRC, "config": {"beam_width": "wide"}},
          "bad config"),
+        ({"source": _C_SRC, "config": {"memoize": False}}, "memoize"),
         ({"source": "void f() { syntax error", "lang": "c"}, "compile"),
     ]
     for payload, needle in cases:

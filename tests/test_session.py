@@ -109,6 +109,23 @@ class TestPassManager:
         assert result.program is not None
         assert result.cost is not None
 
+    def test_custom_pipeline_skipping_canonicalize_differs_only_upstream(
+            self):
+        """`--passes` pipelines are honored: dropping canonicalize changes
+        the input IR the selector sees (sanity check that the pipeline
+        list is actually what runs)."""
+        fn = KERNELS["complex_mul"]
+        default = VectorizationSession(target="avx2", beam_width=2)
+        custom = VectorizationSession(
+            target="avx2", beam_width=2,
+            pipeline=build_pipeline(
+                ["select-packs", "scalar-cost", "codegen"],
+                canonicalize_input=False,
+            ),
+        )
+        assert default.vectorize(fn).program.dump()  # both still lower
+        assert custom.vectorize(fn).program.dump()
+
     def test_counters_track_pass_runs(self):
         counters = Counters()
         session = VectorizationSession(target="avx2", beam_width=4)

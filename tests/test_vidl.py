@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from repro.ir.types import F64, I1, I16, I32, I64
+from repro.ir.types import F64, I16, I32, I64
 from repro.pseudocode import parse_spec, run_spec
 from repro.vidl import (
     InstDesc,

@@ -19,12 +19,13 @@ every Python file under ``src/`` with :mod:`ast` and verifies
   namespace, e.g. ``beam.``) is a member of ``COUNTER_NAMES`` — a typo
   in a counter read silently returns 0, which is exactly the failure
   mode the differential tests' counter assertions must not have;
-* every registered ``beam.bound_*`` counter has at least one literal
-  ``.inc`` site under ``src/`` — the bound counters are the *only*
-  observable difference between ``bound="matching"`` and
-  ``bound="slp"`` (the differential tests pin packs and costs
-  identical), so a registered-but-never-incremented bound counter
-  means a gate silently lost its instrumentation.
+* every registered counter has at least one literal ``.inc`` site
+  under ``src/`` — a registered-but-never-incremented counter reads 0
+  forever, so a stage that lost its instrumentation (or a counter whose
+  code path was deleted) would go unnoticed in the bench trajectory.
+
+A conditional literal, ``.inc("a" if cond else "b")``, counts as a site
+(and a checked use) for both names.
 
 ``tests/``, ``benchmarks/``, and ``tools/`` are walked alongside
 ``src/``: the read-side contract matters most where counters gate
@@ -70,6 +71,21 @@ def _literal_str(node: ast.AST) -> "str | None":
     return None
 
 
+def _literal_names(node: ast.AST) -> "List[str] | None":
+    """The names a counter/span argument can take: one for a string
+    literal, both arms for ``"a" if cond else "b"`` (recursively), None
+    for anything computed."""
+    name = _literal_str(node)
+    if name is not None:
+        return [name]
+    if isinstance(node, ast.IfExp):
+        body = _literal_names(node.body)
+        orelse = _literal_names(node.orelse)
+        if body is not None and orelse is not None:
+            return body + orelse
+    return None
+
+
 def check_file(path: str,
                writes: bool = True,
                inc_sites: "set | None" = None) -> Tuple[List[str], int]:
@@ -91,20 +107,21 @@ def check_file(path: str,
                 isinstance(node.func, ast.Attribute) and \
                 node.func.attr in ("inc", "span") and node.args:
             kind = node.func.attr
-            name = _literal_str(node.args[0])
-            if name is None:
+            names = _literal_names(node.args[0])
+            if names is None:
                 dynamic += 1
                 continue
             if kind == "inc" and inc_sites is not None:
-                inc_sites.add(name)
+                inc_sites.update(names)
             contract = COUNTER_NAMES if kind == "inc" else SPAN_NAMES
-            if name not in contract:
-                registry = ("COUNTER_NAMES" if kind == "inc"
-                            else "SPAN_NAMES")
-                violations.append(
-                    f"{rel}:{node.lineno}: .{kind}({name!r}) uses a "
-                    f"name not in {registry}"
-                )
+            for name in names:
+                if name not in contract:
+                    registry = ("COUNTER_NAMES" if kind == "inc"
+                                else "SPAN_NAMES")
+                    violations.append(
+                        f"{rel}:{node.lineno}: .{kind}({name!r}) uses a "
+                        f"name not in {registry}"
+                    )
         if isinstance(node, ast.Call) and \
                 isinstance(node.func, ast.Attribute) and \
                 node.func.attr == "get" and node.args:
@@ -147,16 +164,14 @@ def main() -> int:
             inc_sites=src_inc_sites if writes else None)
         all_violations.extend(violations)
         dynamic_total += dynamic
-    # Write-coverage check for the bound-gate family: these counters
-    # are the only observable matching-vs-slp difference, so each one
-    # must actually be incremented somewhere in the pipeline.
-    for name in sorted(COUNTER_NAMES):
-        if name.startswith("beam.bound_") and name not in src_inc_sites:
-            all_violations.append(
-                f"COUNTER_NAMES registers {name!r} but no literal "
-                f".inc({name!r}) exists under src/ (a bound gate lost "
-                f"its instrumentation)"
-            )
+    # Write coverage: every registered counter must actually be
+    # incremented somewhere in the pipeline.
+    for name in sorted(COUNTER_NAMES - src_inc_sites):
+        all_violations.append(
+            f"COUNTER_NAMES registers {name!r} but no literal "
+            f".inc({name!r}) exists under src/ (a stage lost its "
+            f"instrumentation, or the counter outlived its code)"
+        )
     for violation in all_violations:
         print(violation, file=sys.stderr)
     print(f"check_contracts: scanned {len(files)} files, "
