@@ -36,8 +36,10 @@ Commands
 
 ``serve``
     Run the long-lived asyncio compile server (``repro.serve``): JSON
-    over HTTP, content-addressed result cache, hash-sharded worker
-    pool, ``/metrics`` endpoint.
+    over HTTP, content-addressed result cache, a hash-sharded pool of
+    ``--workers`` (at least 1) compile processes, ``/metrics``
+    endpoint.  ``bench/``'s ``serve_hits`` and ``serve_misses``
+    workloads measure it under load.
 
 ``gen``
     Run the offline generator phase for the whole spec inventory and
@@ -374,53 +376,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_serve(args: argparse.Namespace) -> int:
-    from repro.serve import (
-        render_serve_summary,
-        run_serve_bench,
-        validate_serve_bench,
-        write_serve_bench,
-    )
-
-    targets = [t.strip() for t in args.targets.split(",") if t.strip()]
-    unknown = [t for t in targets if t not in available_targets()]
-    if unknown:
-        print(f"unknown targets: {', '.join(unknown)}; available: "
-              f"{', '.join(available_targets())}", file=sys.stderr)
-        return 2
-    progress = None
-    if not args.quiet:
-        progress = lambda msg: print(msg, file=sys.stderr)  # noqa: E731
-    try:
-        doc = run_serve_bench(
-            kernel_names=args.kernel or None,
-            targets=targets,
-            concurrency=args.concurrency,
-            hot_requests=args.requests,
-            workers=args.serve_workers,
-            beam_width=args.beam_width,
-            progress=progress,
-        )
-    except KeyError as exc:
-        print(f"bench --serve: {exc.args[0]}", file=sys.stderr)
-        return 2
-    try:
-        validate_serve_bench(doc)
-    except ValueError as exc:
-        print(f"bench --serve FAILED: {exc}", file=sys.stderr)
-        return 1
-    out = args.out
-    if out == "BENCH_vegen.json":  # the non-serve default doesn't apply
-        out = "BENCH_serve.json"
-    write_serve_bench(doc, out)
-    render_serve_summary(doc)
-    print(f"wrote {out}")
-    return 0
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.serve:
-        return _cmd_bench_serve(args)
     from repro.kernels import all_kernels
     from repro.obs import (
         compare_bench,
@@ -530,6 +486,17 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     print(f"wrote {path}: {n_insts} instructions "
           f"({n_bad} unliftable), spec hash {doc['spec_hash'][:12]}")
     return 0
+
+
+def _at_least_one(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -697,19 +664,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cost-ratio regression tolerance (default 0.01)")
     p.add_argument("--quiet", action="store_true",
                    help="suppress per-kernel progress on stderr")
-    p.add_argument("--serve", action="store_true",
-                   help="benchmark the compile server instead: spin an "
-                        "in-process server, drive it with concurrent "
-                        "clients, write BENCH_serve.json")
-    p.add_argument("--concurrency", type=int, default=128,
-                   help="[--serve] concurrent keep-alive clients in the "
-                        "hot phase (default 128)")
-    p.add_argument("--requests", type=int, default=1000,
-                   help="[--serve] total hot-phase requests "
-                        "(default 1000)")
-    p.add_argument("--serve-workers", type=int, default=2, metavar="N",
-                   help="[--serve] compile worker processes "
-                        "(0: inline threads; default 2)")
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser(
@@ -718,8 +672,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8787,
                    help="listen port (0: pick a free port; default 8787)")
-    p.add_argument("--workers", type=int, default=2,
-                   help="compile worker processes (0: inline threads; "
+    p.add_argument("--workers", type=_at_least_one, default=2,
+                   help="compile worker processes (at least 1; "
                         "default 2)")
     p.add_argument("--beam-width", type=int, default=8,
                    help="default pack-selection beam width (requests "

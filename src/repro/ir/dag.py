@@ -144,11 +144,6 @@ class DependenceGraph:
             return cached
         return _access_location(inst)
 
-    def dependence_set(self, value: Value) -> int:
-        """Bitset of instruction indices ``value`` transitively depends on."""
-        i = self._index.get(id(value))
-        return self._closure[i] if i is not None else 0
-
     def direct_dependences(self, inst: Instruction) -> List[Instruction]:
         i = self._index[id(inst)]
         result = []

@@ -149,10 +149,6 @@ class ICmpPred:
     def is_signed(cls, pred: str) -> bool:
         return pred in (cls.SLT, cls.SLE, cls.SGT, cls.SGE)
 
-    @classmethod
-    def is_strict(cls, pred: str) -> bool:
-        return pred in (cls.SLT, cls.SGT, cls.ULT, cls.UGT, cls.NE)
-
 
 class FCmpPred:
     """Float comparison predicates (ordered forms only)."""
@@ -249,10 +245,6 @@ class BinaryInst(Instruction):
         if opcode in FLOAT_BINARY_OPS and not lhs.type.is_float:
             raise TypeError(f"{opcode} requires float operands")
         super().__init__(opcode, lhs.type, [lhs, rhs], name)
-
-    @property
-    def is_commutative(self) -> bool:
-        return self.opcode in COMMUTATIVE_OPS
 
 
 class UnaryInst(Instruction):

@@ -5,7 +5,7 @@ Instructions (which are also values) live in ``repro.ir.instructions``.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.ir.types import FloatType, IntType, Type
 from repro.utils.fp import round_to_width
@@ -116,8 +116,3 @@ def constants_equal(a: Value, b: Value) -> bool:
     if isinstance(a, Constant) and isinstance(b, Constant):
         return a.type == b.type and a.value == b.value
     return False
-
-
-def as_constant(value: Value) -> Optional[Constant]:
-    """Return ``value`` as a Constant, or None."""
-    return value if isinstance(value, Constant) else None

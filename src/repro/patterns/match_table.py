@@ -80,7 +80,6 @@ class MatchTable:
         self.index = index
         self.counters = counters if counters is not None else NULL_COUNTERS
         self._table: Dict[Tuple[int, int], List[Match]] = {}
-        self._by_value: Dict[int, List[Match]] = {}
         # value id -> tuple of operation tokens the value has matches
         # for.  Producer enumeration intersects these against a shape
         # plan's per-lane token masks to discard infeasible instructions
@@ -141,7 +140,6 @@ class MatchTable:
                     continue
                 key = (id(inst), self._operation_token(operation))
                 self._table[key] = matches
-                self._by_value.setdefault(id(inst), []).extend(matches)
         tokens: Dict[int, List[int]] = {}
         for vid, token in self._table:
             tokens.setdefault(vid, []).append(token)
@@ -154,9 +152,6 @@ class MatchTable:
         return self._table.get(
             (id(value), self._operation_token(operation)), []
         )
-
-    def matches_for_value(self, value: Value) -> List[Match]:
-        return self._by_value.get(id(value), [])
 
     def tokens_for_value_id(self, vid: int) -> Tuple[int, ...]:
         """Operation tokens a value (by id) has matches for."""

@@ -8,28 +8,22 @@ DESIGN.md):
 * :mod:`repro.serve.cache` — content-addressed two-tier result cache
   keyed by SHA-256(canonical IR, target, config, artifact hash);
 * :mod:`repro.serve.workers` — hash-sharded multi-process worker pool
-  with warm sessions, batching, deadlines, and crash recovery;
+  with warm sessions, batching, deadlines, and crash recovery (the
+  only execution path: every compile runs in a worker process);
 * :mod:`repro.serve.server` — the HTTP front end (``/compile``,
   ``/metrics``, ``/healthz``) with backpressure;
 * :mod:`repro.serve.clock` — injectable clocks/deadlines (fake-clock
   timeout tests);
 * :mod:`repro.serve.fixture` — the in-process test harness and fault
-  injection surface;
-* :mod:`repro.serve.loadgen` — the ``repro bench --serve`` load
-  generator writing ``BENCH_serve.json``.
+  injection surface.
+
+Load is measured outside the package: ``bench/``'s ``serve_hits`` and
+``serve_misses`` workloads drive a ``repro serve`` process.
 """
 
 from repro.serve.cache import ResultCache, cache_key, current_artifact_hash
 from repro.serve.clock import Deadline, FakeClock, MonotonicClock
 from repro.serve.fixture import ServeClient, ServerFixture
-from repro.serve.loadgen import (
-    DEFAULT_SERVE_BENCH_PATH,
-    SERVE_BENCH_SCHEMA,
-    render_serve_summary,
-    run_serve_bench,
-    validate_serve_bench,
-    write_serve_bench,
-)
 from repro.serve.protocol import (
     RESPONSE_SCHEMA,
     CompileRequest,
@@ -40,20 +34,17 @@ from repro.serve.protocol import (
     parse_compile_request,
 )
 from repro.serve.server import CompileServer, ServeConfig, run_server
-from repro.serve.workers import InlinePool, WorkerError, WorkerPool
+from repro.serve.workers import WorkerError, WorkerPool
 
 __all__ = [
     "CompileRequest",
     "CompileServer",
-    "DEFAULT_SERVE_BENCH_PATH",
     "Deadline",
     "FakeClock",
-    "InlinePool",
     "MonotonicClock",
     "RESPONSE_SCHEMA",
     "RequestError",
     "ResultCache",
-    "SERVE_BENCH_SCHEMA",
     "ServeClient",
     "ServeConfig",
     "ServerFixture",
@@ -65,9 +56,5 @@ __all__ = [
     "current_artifact_hash",
     "encode_body",
     "parse_compile_request",
-    "render_serve_summary",
     "run_server",
-    "run_serve_bench",
-    "validate_serve_bench",
-    "write_serve_bench",
 ]

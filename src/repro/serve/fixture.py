@@ -12,7 +12,7 @@ tests can drive it.  The fault-injection surface lives here too:
   regenerated offline phase would, orphaning every existing cache key.
 
 :class:`ServeClient` is the matching minimal asyncio HTTP/1.1 client
-(keep-alive, Content-Length framing) shared with the load generator.
+(keep-alive, Content-Length framing).
 """
 
 from __future__ import annotations
@@ -125,7 +125,6 @@ class ServerFixture:
         self._thread: Optional[threading.Thread] = None
         self._ready = threading.Event()
         self._startup_error: Optional[BaseException] = None
-        self._clients: List[ServeClient] = []
 
     # -- lifecycle ------------------------------------------------------
 
@@ -168,12 +167,6 @@ class ServerFixture:
     def stop(self) -> None:
         if self._loop is None:
             return
-        for client in self._clients:
-            try:
-                self.run(client.close())
-            except Exception:
-                pass
-        self._clients = []
         self._loop.call_soon_threadsafe(self._loop.stop)
         self._thread.join(self.READY_TIMEOUT_S)
         self._loop = None
@@ -199,13 +192,6 @@ class ServerFixture:
         """Run a coroutine on the server's loop from test code."""
         future = asyncio.run_coroutine_threadsafe(coro, self._loop)
         return future.result(timeout or self.READY_TIMEOUT_S)
-
-    def client(self) -> ServeClient:
-        """A connected keep-alive client bound to the fixture's loop."""
-        client = ServeClient(self.host, self.port)
-        self.run(client.connect())
-        self._clients.append(client)
-        return client
 
     def compile(self, timeout: Optional[float] = None, **payload
                 ) -> Tuple[int, Dict[str, str], Dict]:

@@ -20,7 +20,7 @@ Routes::
 
 The HTTP layer is a deliberately small HTTP/1.1 subset over
 ``asyncio.start_server`` (request line + headers + Content-Length
-bodies, keep-alive) — stdlib only, enough for the load generator and
+bodies, keep-alive) — stdlib only, enough for ``http.client`` and
 ``curl``.
 """
 
@@ -42,7 +42,7 @@ from repro.serve.protocol import (
     error_body,
     parse_compile_request,
 )
-from repro.serve.workers import InlinePool, WorkerError, WorkerPool
+from repro.serve.workers import WorkerError, WorkerPool
 from repro.vectorizer.context import VectorizerConfig
 
 #: Largest accepted request body (a mini-C kernel is a few KB).
@@ -55,8 +55,7 @@ class ServeConfig:
 
     host: str = "127.0.0.1"
     port: int = 0                     # 0: pick a free port
-    workers: int = 2                  # 0: inline (thread) execution
-    inline_threads: int = 2           # thread count when workers == 0
+    workers: int = 2                  # worker processes (>= 1)
     queue_depth: int = 64             # per-worker inbox bound
     max_pending: int = 256            # global in-flight bound (429 above)
     max_batch: int = 8                # requests per worker IPC round-trip
@@ -84,23 +83,14 @@ class CompileServer:
             memory_entries=self.config.cache_memory_entries,
             disk_limit_bytes=self.config.cache_disk_limit_bytes,
         )
-        if self.config.workers >= 1:
-            self.pool = WorkerPool(
-                self.config.workers,
-                clock=self.clock,
-                counters=self.counters,
-                allow_faults=self.config.allow_faults,
-                queue_depth=self.config.queue_depth,
-                max_batch=self.config.max_batch,
-            )
-        else:
-            self.pool = InlinePool(
-                threads=self.config.inline_threads,
-                clock=self.clock,
-                counters=self.counters,
-                allow_faults=self.config.allow_faults,
-                queue_depth=self.config.queue_depth,
-            )
+        self.pool = WorkerPool(
+            self.config.workers,
+            clock=self.clock,
+            counters=self.counters,
+            allow_faults=self.config.allow_faults,
+            queue_depth=self.config.queue_depth,
+            max_batch=self.config.max_batch,
+        )
         #: Part of every cache key; the fault harness can poison it.
         self.artifact_hash = current_artifact_hash()
         self._server: Optional[asyncio.AbstractServer] = None
@@ -353,7 +343,7 @@ async def run_server(config: Optional[ServeConfig] = None) -> None:
     await server.start()
     host = server.config.host
     print(f"repro serve: listening on http://{host}:{server.port} "
-          f"({server.config.workers or 'inline'} workers, cache "
+          f"({server.config.workers} workers, cache "
           f"{'at ' + server.config.cache_dir if server.config.cache_dir else 'in memory'})",
           flush=True)
     try:

@@ -210,8 +210,7 @@ class WorkerPool:
                  allow_faults: bool = False, queue_depth: int = 64,
                  max_batch: int = 8):
         if workers < 1:
-            raise ValueError("WorkerPool needs >= 1 worker "
-                             "(use InlinePool for in-process serving)")
+            raise ValueError(f"WorkerPool needs >= 1 worker, got {workers}")
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         self.num_workers = workers
@@ -514,97 +513,3 @@ def _recv_blocking(conn) -> Dict:
     except Exception:
         return {"_eof": True}
 
-
-class InlinePool:
-    """Degraded single-process pool: compiles on executor threads.
-
-    Same ``submit`` interface as :class:`WorkerPool` with ``workers``
-    acting as the thread count.  Used for tests, the CI smoke job, and
-    `--workers 0` serving; crash/hang faults need real processes, so
-    only the ``error`` fault applies here.  A timed-out compile cannot
-    be killed (threads are uncancellable) — the response is an error
-    but the thread runs to completion, which is why production serving
-    uses processes.
-    """
-
-    def __init__(self, threads: int = 2, clock=None,
-                 counters=NULL_COUNTERS, allow_faults: bool = False,
-                 queue_depth: int = 64, max_batch: int = 1):
-        from concurrent.futures import ThreadPoolExecutor
-
-        self.num_workers = 0
-        self.threads = max(1, threads)
-        self.clock = clock if clock is not None else MonotonicClock()
-        self.counters = counters
-        self.allow_faults = allow_faults
-        self.queue_depth = queue_depth
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.threads,
-            thread_name_prefix="repro-serve-inline",
-        )
-        self._sessions: Dict = {}
-        self._running = False
-        self.pending = 0
-
-    async def start(self) -> None:
-        self._running = True
-
-    async def stop(self) -> None:
-        self._running = False
-        self._executor.shutdown(wait=False)
-
-    def shard_of(self, key: str) -> int:
-        return 0
-
-    async def submit(self, item: Dict, deadline: Deadline) -> Dict:
-        if not self._running:
-            raise WorkerError("shutting-down", 503, "pool is stopped")
-        if self.pending >= self.queue_depth:
-            self.counters.inc("serve.rejected")
-            raise WorkerError("overloaded", 429,
-                              "inline queue is full; retry later")
-        loop = asyncio.get_running_loop()
-        self.pending += 1
-        try:
-            fut = loop.run_in_executor(
-                self._executor, _compile_batch,
-                self._sessions, [item], self.allow_faults,
-            )
-            while True:
-                try:
-                    results = await asyncio.wait_for(
-                        asyncio.shield(fut), timeout=POLL_SLICE_S
-                    )
-                    break
-                except asyncio.TimeoutError:
-                    if deadline.expired():
-                        self.counters.inc("serve.timeouts")
-                        raise WorkerError(
-                            "timeout", 504,
-                            f"request exceeded its "
-                            f"{deadline.timeout_s}s deadline",
-                        ) from None
-        finally:
-            self.pending -= 1
-        result = results[0]
-        if isinstance(result, dict) and "_error" in result:
-            raise WorkerError(result["_error"], 500,
-                              result.get("message", "compile failed"))
-        self.counters.inc("serve.compiles")
-        self.counters.inc("serve.batches")
-        return result
-
-    def kill_worker(self, index: int) -> Optional[int]:
-        raise WorkerError("bad-request", 400,
-                          "inline pool has no processes to kill")
-
-    def worker_stats(self) -> List[Dict]:
-        return [{
-            "index": 0,
-            "pid": os.getpid(),
-            "alive": True,
-            "generation": 1,
-            "requests": None,
-            "crashes": 0,
-            "inline_threads": self.threads,
-        }]

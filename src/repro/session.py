@@ -12,6 +12,7 @@ one-shot session.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Iterable, List, Optional, Sequence, Union
 
 from repro.machine.costs import CostModel
@@ -38,7 +39,7 @@ class VectorizationSession:
     def __init__(
         self,
         target: Union[str, TargetDesc] = "avx2",
-        beam_width: int = 64,
+        beam_width: Optional[int] = None,
         canonicalize_patterns: bool = True,
         canonicalize_input: bool = True,
         reassociate: bool = False,
@@ -53,7 +54,12 @@ class VectorizationSession:
             target if isinstance(target, TargetDesc) else None
         )
         self._trace_target_build = not isinstance(target, TargetDesc)
-        self.beam_width = beam_width
+        #: An explicit ``beam_width`` wins; else the config's; else 64.
+        self.beam_width = (
+            beam_width if beam_width is not None
+            else config.beam_width if config is not None
+            else 64
+        )
         self.canonicalize_patterns = canonicalize_patterns
         self.canonicalize_input = canonicalize_input
         self.reassociate = reassociate
@@ -83,10 +89,8 @@ class VectorizationSession:
     def _resolve_config(self) -> VectorizerConfig:
         if self.config is None:
             return VectorizerConfig(beam_width=self.beam_width)
-        # Historical contract: an explicit config is adopted but its
-        # beam width follows the call's beam_width knob.
-        self.config.beam_width = self.beam_width
-        return self.config
+        # A copy: the session's width never writes the caller's config.
+        return dataclasses.replace(self.config, beam_width=self.beam_width)
 
     def vectorize(self, function, tracer=None,
                   counters: Optional[Counters] = None

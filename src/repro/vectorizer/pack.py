@@ -81,15 +81,8 @@ class Pack:
     def is_store(self) -> bool:
         return isinstance(self, StorePack)
 
-    @property
-    def is_load(self) -> bool:
-        return isinstance(self, LoadPack)
-
     def num_lanes(self) -> int:
         return len(self.values())
-
-    def produced_set(self):
-        return {id(v) for v in self.values() if v is not None}
 
 
 def compute_pack_lanes(inst: TargetInstruction,

@@ -87,7 +87,7 @@ def clone_function(function: Function) -> Function:
 def vectorize(
     function: Function,
     target: Union[str, TargetDesc] = "avx2",
-    beam_width: int = 64,
+    beam_width: Optional[int] = None,
     canonicalize_patterns: bool = True,
     canonicalize_input: bool = True,
     reassociate: bool = False,
@@ -104,6 +104,9 @@ def vectorize(
     The input function is never mutated; a canonicalized working copy is
     returned in the result.  ``beam_width=1`` selects the plain SLP
     heuristic (§5.1); larger widths enable the §5.2 lookahead search.
+    ``beam_width=None`` (the default) takes ``config.beam_width``, or
+    64 without a config; an explicit width overrides the config's on a
+    copy, never on the caller's object.
     ``canonicalize_patterns=False`` reproduces the §6 ablation.
     ``reassociate=True`` balances reduction chains first (clang -O3 /
     -ffast-math behaviour; exposes dot-product structure in sequential

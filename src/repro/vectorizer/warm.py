@@ -14,7 +14,7 @@ Soundness is the warm-start contract proved in
 *early-stop / strict-prune bound equal to the run's own final cost*, so
 a hit changes node counts and ``beam.warmstart_*`` counters but never
 the returned packs or cost (tested in
-``tests/test_bitset_differential.py``).  In the exact pass the cached
+``tests/test_exact_warm.py``).  In the exact pass the cached
 incumbent composes with the admissible matching bound (DESIGN.md §16):
 a subtree is cut when its ``provable_total`` strictly exceeds the
 proved warm bound, so a warm hit turns the cached *cost* into a proof

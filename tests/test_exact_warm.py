@@ -10,9 +10,6 @@ Two exactness contracts under test:
   the search does (``beam.warmstart_*`` and node counters) — packs and
   costs are identical to a cold run, whether the cached bound comes
   from the in-memory tier or the ``REPRO_WARM_CACHE_DIR`` disk tier.
-
-The file name is historical (it once compared two search engines); it
-is kept so the test ids stay stable.
 """
 
 import json

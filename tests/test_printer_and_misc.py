@@ -106,6 +106,8 @@ class TestConfig:
 
     def test_beam_width_override_in_vectorize(self):
         from repro.frontend import compile_kernel
+        from repro.kernels import all_kernels
+        from repro.obs import Counters
         from repro.vectorizer import VectorizerConfig, vectorize
 
         fn = compile_kernel("""
@@ -116,6 +118,25 @@ void f(const int32_t *restrict a, int32_t *restrict b) {
         cfg = VectorizerConfig(beam_width=2, patience=4)
         result = vectorize(fn, target="avx2", beam_width=2, config=cfg)
         assert result.vectorized
+
+        def states_expanded(**kwargs):
+            counters = Counters()
+            vectorize(all_kernels()["complex_mul"], target="avx2",
+                      counters=counters, **kwargs)
+            return counters["beam.states_expanded"]
+
+        at_2, at_4, at_64 = (states_expanded(beam_width=width)
+                             for width in (2, 4, 64))
+        assert len({at_2, at_4, at_64}) == 3
+        # Without an explicit width the config's width is the one used.
+        cfg = VectorizerConfig(beam_width=2)
+        assert states_expanded(config=cfg) == at_2
+        assert cfg.beam_width == 2
+        # An explicit width wins, on a copy of the caller's config.
+        assert states_expanded(beam_width=4, config=cfg) == at_4
+        assert cfg.beam_width == 2
+        # Neither: the default width.
+        assert states_expanded() == at_64
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

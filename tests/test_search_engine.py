@@ -1,9 +1,6 @@
 """Regression tests for the pack-selection search engine: determinism
 under hash randomization, the load-pack run-splitter, Argument-lane
 completion accounting, and the ``beam.*`` counters.
-
-The file name is historical (it once compared pruned and unpruned
-searches); it is kept so the test ids stay stable.
 """
 
 import os

@@ -17,7 +17,7 @@ from repro.ir.printer import print_function
 from repro.obs.counters import Counters
 from repro.serve.clock import Deadline, FakeClock, MonotonicClock
 from repro.serve.protocol import build_response_body
-from repro.serve.workers import InlinePool, WorkerError, WorkerPool
+from repro.serve.workers import WorkerError, WorkerPool
 from repro.session import VectorizationSession
 from repro.vectorizer.context import VectorizerConfig
 
@@ -122,7 +122,7 @@ def test_monotonic_clock_moves_forward():
 
 
 def test_pool_rejects_zero_workers():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=">= 1 worker, got 0"):
         WorkerPool(0)
 
 
@@ -348,52 +348,13 @@ def test_submit_after_stop_is_structured():
     _run(main())
 
 
-# -- inline pool + registry locking under concurrency ------------------
-
-
-def test_inline_pool_matches_serial():
-    async def main():
-        pool = InlinePool(threads=2)
-        try:
-            await pool.start()
-            item = _item("add2")
-            body = await pool.submit(item, Deadline(pool.clock, 30.0))
-            assert body == _expected_body(item)
-        finally:
-            await pool.stop()
-    _run(main())
-
-
-def test_inline_pool_reexercises_registry_locking():
-    """The double-checked-locking satellite: wipe every registry cache,
-    then hammer the inline pool from concurrent threads so multiple
-    threads race through get_target()/session construction at once."""
-    from repro.target import clear_caches
-
-    clear_caches()
-    items = [_item(name, target)
-             for name in _SOURCES
-             for target in ("avx2", "sse4")]
-    expected = [_expected_body(item) for item in items]
-    clear_caches()
-
-    async def main():
-        pool = InlinePool(threads=4)
-        try:
-            await pool.start()
-            bodies = await asyncio.gather(*[
-                pool.submit(item, Deadline(pool.clock, 120.0))
-                for item in items
-            ])
-            assert list(bodies) == expected
-        finally:
-            await pool.stop()
-    _run(main())
+# -- registry locking under concurrency --------------------------------
 
 
 def test_registry_races_under_plain_threads():
-    """Belt-and-braces: raw threads racing get_target on a cold
-    registry all see one consistent target object."""
+    """The registry's double-checked locking: raw threads racing
+    get_target on a cold registry all see one consistent target
+    object."""
     from repro.target import clear_caches, get_target
 
     clear_caches()

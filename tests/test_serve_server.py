@@ -193,20 +193,34 @@ def test_config_override_changes_key_and_result_config(server):
 
 
 def test_keep_alive_connection_serves_many_requests(server):
-    async def main():
+    async def one_client(requests):
         client = ServeClient(server.host, server.port)
         await client.connect()
         try:
-            statuses = []
-            for _ in range(4):
-                status, _headers, _doc = await client.compile(
+            replies = []
+            for _ in range(requests):
+                status, headers, _doc = await client.compile(
                     source=_C_SRC, target="avx2")
-                statuses.append(status)
-            return statuses
+                replies.append((status, headers["x-repro-cache"]))
+            return replies
         finally:
             await client.close()
 
-    assert server.run(main()) == [200, 200, 200, 200]
+    replies = server.run(one_client(4))
+    assert [status for status, _cache in replies] == [200, 200, 200, 200]
+    # The request is cached now: concurrent keep-alive clients replaying
+    # it all hit, and /metrics counts exactly those hits.
+    clients, requests = 6, 5
+    before = server.metrics()["counters"]["serve.cache_hits"]
+
+    async def many_clients():
+        return await asyncio.gather(
+            *(one_client(requests) for _ in range(clients)))
+
+    for replies in server.run(many_clients()):
+        assert replies == [(200, "hit")] * requests
+    after = server.metrics()["counters"]["serve.cache_hits"]
+    assert after - before == clients * requests
 
 
 def test_metrics_document(server):
@@ -260,16 +274,15 @@ def test_oversized_body_is_413(server):
     assert server.run(main()) == 413
 
 
-def test_inline_pool_server_end_to_end():
-    """workers=0 selects the thread-backed InlinePool; the whole HTTP
-    path still works (used by tests that cannot fork)."""
-    with ServerFixture(workers=0, inline_threads=2) as fixture:
-        status, headers, doc = fixture.compile(source=_C_SRC,
-                                               target="avx2")
-        assert status == 200
-        assert headers["x-repro-cache"] == "miss"
-        assert doc["schema"] == RESPONSE_SCHEMA
-        status2, headers2, doc2 = fixture.compile(source=_C_SRC,
-                                                  target="avx2")
-        assert status2 == 200 and headers2["x-repro-cache"] == "hit"
-        assert doc2 == doc
+def test_workers_zero_is_rejected(capsys):
+    """Every compile runs in a worker process: zero workers is a usage
+    error on the command line and a ValueError from the server."""
+    from repro.cli import main
+    from repro.serve.server import CompileServer, ServeConfig
+
+    with pytest.raises(ValueError, match=">= 1 worker"):
+        CompileServer(ServeConfig(workers=0))
+    with pytest.raises(SystemExit) as exc_info:
+        main(["serve", "--workers", "0"])
+    assert exc_info.value.code == 2
+    assert "--workers" in capsys.readouterr().err
