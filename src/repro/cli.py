@@ -410,7 +410,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         doc = run_bench(kernel_names=kernel_names, targets=targets,
                         beam_width=args.beam_width, progress=progress,
                         jobs=args.jobs, profile_top=args.profile,
-                        verify=not args.no_verify, warm=args.warm,
+                        verify=not args.no_verify,
                         gap_node_budget=args.gap_budget)
     except KeyError as exc:
         print(f"bench: {exc.args[0]}", file=sys.stderr)
@@ -638,12 +638,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "carry tracing overhead")
     p.add_argument("--no-verify", action="store_true",
                    help="skip the per-cell TransVal verification column")
-    p.add_argument("--warm", action="store_true",
-                   help="enable the warm-start cost cache "
-                        "(VectorizerConfig(warm_start=True)); identical "
-                        "packs/costs to a cold run, faster search on "
-                        "repeat compiles (set REPRO_WARM_CACHE_DIR for "
-                        "cross-process reuse)")
     p.add_argument("--gap-budget", type=int,
                    default=DEFAULT_GAP_NODE_BUDGET, metavar="N",
                    help="node budget for the per-cell exact pass behind "

@@ -1,9 +1,8 @@
 """Size-capped LRU eviction for one-file-per-key disk cache tiers.
 
-Both on-disk caches (:mod:`repro.serve.cache` and
-:mod:`repro.vectorizer.warm`) store one JSON file per content-addressed
-key and, left alone, grow without bound across runs.  This module gives
-them a shared eviction discipline:
+The serve result cache's disk tier (:mod:`repro.serve.cache`) stores
+one JSON file per content-addressed key and, left alone, grows without
+bound across runs.  This module gives it an eviction discipline:
 
 * recency is file mtime — a disk *hit* touches the entry
   (:func:`mark_used`), so reads refresh position exactly like an
@@ -14,10 +13,10 @@ them a shared eviction discipline:
   itself deleted (the cache degrades to a miss, never to an unbounded
   directory).
 
-Caps come from ``REPRO_SERVE_CACHE_LIMIT`` / ``REPRO_WARM_CACHE_LIMIT``
-(or explicit constructor arguments); values are bytes, with optional
-``K`` / ``M`` / ``G`` suffixes (``"16M"``).  Unset or empty means
-unlimited, preserving the previous behaviour.
+Caps come from ``REPRO_SERVE_CACHE_LIMIT`` (or an explicit constructor
+argument); values are bytes, with optional ``K`` / ``M`` / ``G``
+suffixes (``"16M"``).  Unset or empty means unlimited, preserving the
+previous behaviour.
 
 Eviction races are benign by construction: every entry is
 self-validating (schema + key + body hash), deletes of already-deleted

@@ -64,7 +64,7 @@ DEFAULT_COST_TOLERANCE = 0.01
 def bench_one(kernel_name: str, function, target: str,
               beam_width: int = DEFAULT_BEAM_WIDTH,
               session=None, profile_top: int = 0,
-              verify: bool = True, warm: bool = False,
+              verify: bool = True,
               gap_node_budget: int = DEFAULT_GAP_NODE_BUDGET) -> Dict:
     """Benchmark one (kernel, target) cell with observability enabled.
 
@@ -84,13 +84,6 @@ def bench_one(kernel_name: str, function, target: str,
     ``transval.*`` counters.  Verification runs after ``wall_s`` is
     measured, so vectorization wall times are unaffected.
 
-    ``warm=True`` turns on the content-addressed warm-start cost cache
-    (``VectorizerConfig(warm_start=True)``; point ``REPRO_WARM_CACHE_DIR``
-    at a directory for cross-process reuse).  The warm-start contract
-    guarantees identical packs and costs to a cold run — only wall
-    times and ``beam.warmstart_*``/node counters change — so warm and
-    cold documents ``--compare`` clean against each other.
-
     ``gap_node_budget`` bounds the exhaustive branch-and-bound pass
     behind the ``optimality_gap`` column: after the measured run, the
     cell is re-vectorized with ``exact=True`` under this budget and the
@@ -108,11 +101,8 @@ def bench_one(kernel_name: str, function, target: str,
     from repro.vectorizer.context import VectorizerConfig
 
     if session is None:
-        config = VectorizerConfig(beam_width=beam_width,
-                                  warm_start=warm) if warm else None
         session = VectorizationSession(target=target,
-                                       beam_width=beam_width,
-                                       config=config)
+                                       beam_width=beam_width)
     tracer = Tracer()
     counters = Counters()
     profiler = None
@@ -203,7 +193,7 @@ def _top_profile_entries(profiler, top: int) -> List[Dict]:
     return entries[:top]
 
 
-def _bench_cell(task: Tuple[str, str, int, int, bool, bool, int]) -> Dict:
+def _bench_cell(task: Tuple[str, str, int, int, bool, int]) -> Dict:
     """Process-pool worker: benchmark one (kernel, target) cell.
 
     Takes only picklable names — each worker process rebuilds the kernel
@@ -211,11 +201,11 @@ def _bench_cell(task: Tuple[str, str, int, int, bool, bool, int]) -> Dict:
     no IR or target state ever crosses the process boundary."""
     from repro.kernels import all_kernels
 
-    (kernel_name, target, beam_width, profile_top, verify, warm,
+    (kernel_name, target, beam_width, profile_top, verify,
      gap_node_budget) = task
     return bench_one(kernel_name, all_kernels()[kernel_name], target,
                      beam_width, profile_top=profile_top, verify=verify,
-                     warm=warm, gap_node_budget=gap_node_budget)
+                     gap_node_budget=gap_node_budget)
 
 
 def run_bench(kernel_names: Optional[Sequence[str]] = None,
@@ -223,7 +213,7 @@ def run_bench(kernel_names: Optional[Sequence[str]] = None,
               beam_width: int = DEFAULT_BEAM_WIDTH,
               progress: Optional[Callable[[str], None]] = None,
               jobs: int = 1, profile_top: int = 0,
-              verify: bool = True, warm: bool = False,
+              verify: bool = True,
               gap_node_budget: int = DEFAULT_GAP_NODE_BUDGET) -> Dict:
     """Run the kernel × target matrix; returns the bench document.
 
@@ -235,9 +225,8 @@ def run_bench(kernel_names: Optional[Sequence[str]] = None,
     ``profile_top > 0`` profiles every cell under :mod:`cProfile` and
     records each cell's top-N cumulative functions (see
     :func:`bench_one`).  ``verify=False`` skips the per-cell TransVal
-    verification column.  ``warm=True`` enables the warm-start cost
-    cache and ``gap_node_budget`` bounds the ``optimality_gap`` exact
-    pass (see :func:`bench_one` for both)."""
+    verification column.  ``gap_node_budget`` bounds the
+    ``optimality_gap`` exact pass (see :func:`bench_one`)."""
     from repro import __version__
     from repro.kernels import all_kernels
 
@@ -253,7 +242,7 @@ def run_bench(kernel_names: Optional[Sequence[str]] = None,
             )
         selected = list(kernel_names)
 
-    tasks = [(name, target, beam_width, profile_top, verify, warm,
+    tasks = [(name, target, beam_width, profile_top, verify,
               gap_node_budget)
              for target in targets for name in selected]
     total_start = time.perf_counter()
@@ -268,26 +257,20 @@ def run_bench(kernel_names: Optional[Sequence[str]] = None,
             results = list(pool.map(_bench_cell, tasks))
     else:
         from repro.session import VectorizationSession
-        from repro.vectorizer.context import VectorizerConfig
 
         results = []
         sessions: Dict[Tuple[str, int], object] = {}
-        for name, target, width, top, do_verify, do_warm, budget in tasks:
+        for name, target, width, top, do_verify, budget in tasks:
             if progress is not None:
                 progress(f"bench {name} on {target}")
             key = (target, width)
             if key not in sessions:
-                config = VectorizerConfig(beam_width=width,
-                                          warm_start=True) \
-                    if do_warm else None
                 sessions[key] = VectorizationSession(target=target,
-                                                     beam_width=width,
-                                                     config=config)
+                                                     beam_width=width)
             results.append(
                 bench_one(name, kernels[name], target, width,
                           session=sessions[key], profile_top=top,
-                          verify=do_verify, warm=do_warm,
-                          gap_node_budget=budget)
+                          verify=do_verify, gap_node_budget=budget)
             )
     total_wall = time.perf_counter() - total_start
 
@@ -317,7 +300,6 @@ def run_bench(kernel_names: Optional[Sequence[str]] = None,
         "python": platform.python_version(),
         "beam_width": beam_width,
         "jobs": jobs,
-        "warm_start": warm,
         "gap_node_budget": gap_node_budget,
         "targets": list(targets),
         "kernels": selected,

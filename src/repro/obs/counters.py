@@ -45,21 +45,10 @@ COUNTER_NAMES = frozenset({
                                   # masked feasibility memo
     "beam.seed_skips",            # seed packs skipped by the liveness
                                   # index before _apply_pack
-    "beam.heuristic_skips",       # children scored by g alone: g already
-                                  # above the running kth-best f, so the
-                                  # heuristic call is provably redundant
     # admissible matching bound (repro.vectorizer.bounds)
     "beam.bound_evals",           # lower-bound evaluations computed
     "beam.bound_prunes",          # exhaustive branches cut because
-                                  # g + lb met the incumbent (or
-                                  # exceeded the proved warm bound)
-    "beam.bound_heuristic_skips",  # children deferred without a
-                                   # heuristic call: g + lb already
-                                   # above the running kth-best f
-    "beam.bound_rollout_stops",   # rollouts stopped because g + lb met
-                                  # the incumbent mid-walk
-    "beam.bound_completion_skips",  # deferred completions skipped:
-                                    # g + lb met the incumbent
+                                  # g + lb met the incumbent
     "beam.bound_dominance_cuts",  # exhaustive states cut by the
                                   # dominance memo (same S/F, V-superset
                                   # of a seen state at <= cost)
@@ -71,13 +60,6 @@ COUNTER_NAMES = frozenset({
     "beam.exact_budget_exhausted",  # passes stopped by exact_node_budget
                                     # (incumbent returned, no proof)
     "beam.exact_improvements",    # times exhaustion beat the beam's cost
-    # warm-started incumbents (config.warm_start)
-    "beam.warmstart_hits",        # warm cost cache lookups that hit
-    "beam.warmstart_misses",      # ... that missed
-    "beam.warmstart_stops",       # beam loops stopped early at the
-                                  # warm-cached final cost
-    "beam.warmstart_prunes",      # exhaustive branches cut by the warm
-                                  # bound (strictly above it)
     # search-layer memoization (SLP estimator + heuristic)
     "slp.estimate_hits",          # memoized completion-cost lookups
     # producer enumeration (Algorithm 1)

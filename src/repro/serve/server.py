@@ -21,7 +21,12 @@ Routes::
 The HTTP layer is a deliberately small HTTP/1.1 subset over
 ``asyncio.start_server`` (request line + headers + Content-Length
 bodies, keep-alive) — stdlib only, enough for ``http.client`` and
-``curl``.
+``curl``.  A request the server cannot delimit (a malformed request
+line, a ``Content-Length`` that is not one non-negative integer, a
+``Transfer-Encoding``, a line over the stream limit) gets a 400, a body
+over :data:`MAX_BODY_BYTES` a 413, both with ``Connection: close``, and
+the connection is closed: the unread bytes are never parsed as a next
+request.
 """
 
 from __future__ import annotations
@@ -47,6 +52,24 @@ from repro.vectorizer.context import VectorizerConfig
 
 #: Largest accepted request body (a mini-C kernel is a few KB).
 MAX_BODY_BYTES = 4 * 1024 * 1024
+
+
+class FramingError(Exception):
+    """A request the server will not read to its end: it answers
+    ``status`` and closes the connection."""
+
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    """One line; a line over the stream's limit is a framing error."""
+    try:
+        return await reader.readline()
+    except ValueError as exc:
+        raise FramingError(
+            400, f"request line or header too long: {exc}") from None
 
 
 @dataclass
@@ -145,7 +168,15 @@ class CompileServer:
             task.add_done_callback(self._connections.discard)
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except FramingError as exc:
+                    status, doc_bytes, headers = self._error(
+                        exc.status, "bad-request", str(exc))
+                    await self._write_response(
+                        writer, status, doc_bytes, headers,
+                        keep_alive=False)
+                    break
                 if request is None:
                     break
                 method, path, body = request
@@ -173,7 +204,10 @@ class CompileServer:
 
     async def _read_request(self, reader: asyncio.StreamReader
                             ) -> Optional[Tuple[str, str, bytes]]:
-        request_line = await reader.readline()
+        """``(method, path, body)``, or None at EOF; raises
+        :class:`FramingError` when the request cannot be delimited or
+        its body is over the limit."""
+        request_line = await _read_line(reader)
         if not request_line:
             return None
         try:
@@ -181,20 +215,36 @@ class CompileServer:
                 request_line.decode("latin-1").split(None, 2)
             )
         except ValueError:
-            return None
-        content_length = 0
+            raise FramingError(
+                400, f"malformed request line {request_line[:80]!r}"
+            ) from None
+        content_length = None
         while True:
-            line = await reader.readline()
+            line = await _read_line(reader)
             if line in (b"\r\n", b"\n", b""):
                 break
             name, _, value = line.decode("latin-1").partition(":")
-            if name.strip().lower() == "content-length":
-                try:
-                    content_length = int(value.strip())
-                except ValueError:
-                    content_length = 0
+            name = name.strip().lower()
+            if name == "transfer-encoding":
+                raise FramingError(
+                    400, "Transfer-Encoding is not supported; send the "
+                         "body with a Content-Length")
+            if name == "content-length":
+                text = value.strip()
+                if not (text.isascii() and text.isdigit()):
+                    raise FramingError(
+                        400, "Content-Length must be a non-negative "
+                             f"integer, got {text!r}")
+                length = int(text)
+                if content_length not in (None, length):
+                    raise FramingError(
+                        400, "conflicting Content-Length headers")
+                content_length = length
+        content_length = content_length or 0
         if content_length > MAX_BODY_BYTES:
-            return method, path, b"\x00oversized"
+            raise FramingError(
+                413, f"request body too large: {content_length} bytes "
+                     f"(limit {MAX_BODY_BYTES})")
         body = b""
         if content_length:
             body = await reader.readexactly(content_length)
@@ -226,9 +276,6 @@ class CompileServer:
             if method != "POST":
                 return self._error(405, "bad-request",
                                    "POST /compile")
-            if body.startswith(b"\x00oversized"):
-                return self._error(413, "bad-request",
-                                   "request body too large")
             return await self._handle_compile(body)
         if path == "/metrics":
             if method != "GET":

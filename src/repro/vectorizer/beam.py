@@ -41,14 +41,14 @@ The search is engineered as a bounded branch-and-bound engine:
   and only beam survivors (plus children whose ``f`` beats the
   incumbent) are completed, so completion work scales with the beam
   width instead of the branching factor.
-* **Admissible lower-bound gates** — a fractional pack-cover relaxation
-  (:mod:`repro.vectorizer.bounds`, DESIGN.md §16) maps every state to
-  ``lb <= cost of any completion``.  The beam phase uses it only for
-  identity-preserving skips (lazy-heuristic deferral via ``h >= lb``,
-  rollout stops and deferred-completion skips against the incumbent's
-  provable total), each gate self-tuning off when it stops firing; the
-  exact pass cuts every subtree with ``g + lb >= incumbent`` and adds a
-  dominance memo, which is where the optimality proofs come from.
+* **Exact pass** — with ``VectorizerConfig(exact=True)`` the beam's
+  incumbent seeds :func:`exhaustive_search`, which cuts every subtree
+  whose provable total ``g + lb`` meets the incumbent and adds a
+  dominance memo; that is where the optimality proofs come from.  The
+  admissible lower bound ``lb`` (a fractional pack-cover relaxation,
+  :mod:`repro.vectorizer.bounds`, DESIGN.md §16) has no other consumer,
+  so it is built when the exact pass starts and a beam-only search
+  never builds it.
 
 The per-cell ``program_sha256`` digests committed in ``BENCH_vegen.json``
 pin what the search selects (``tests/test_bench_digests.py``).
@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import gc
 from dataclasses import dataclass
-from heapq import heappush, heapreplace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.ir.instructions import Instruction, StoreInst, RetInst
@@ -235,22 +234,24 @@ class BeamSearch:
         # closures; children mostly share S, so this repeats heavily
         # across heuristic and completion calls.
         self._scalar_slice_memo: Dict[int, int] = {}
-        #: Warm-start bound (config.warm_start): the previous identical
-        #: run's final cost, or None.  Only ever used as an early-stop
-        #: threshold the search's own incumbent must *reach* — every
-        #: incumbent update is strictly improving, so stopping once
-        #: ``best_solved.g <= bound`` returns the same object the full
-        #: run would have.
-        self._warm_bound: Optional[float] = None
+        #: The admissible lower-bound provider, built by lower_bound().
+        self._lb: Optional[MatchingLowerBound] = None
         with ctx.tracer.span("seed_enumeration"):
             self._seed_packs = self._enumerate_seed_packs()
         (self._seed_kill_masks, self._seed_dead_mask,
          self._seed_vbits_union) = self._index_seeds()
-        #: Admissible lower-bound provider.  Built over the operand
-        #: tables, not the search, so it never points back at its owner.
-        mask_obits = self._mask_obits
-        self._lb = MatchingLowerBound(
-            ctx, lambda state: mask_obits(state.operand_mask))
+
+    def lower_bound(self) -> MatchingLowerBound:
+        """The admissible lower-bound provider, built on first use.
+
+        Only the exact pass prunes with it, so a beam-only search never
+        builds it.  It is built over the operand tables, not the
+        search, so it never points back at its owner."""
+        if self._lb is None:
+            mask_obits = self._mask_obits
+            self._lb = MatchingLowerBound(
+                self.ctx, lambda state: mask_obits(state.operand_mask))
+        return self._lb
 
     # -- setup -------------------------------------------------------------
 
@@ -1138,7 +1139,8 @@ class BeamSearch:
         )
 
     def _rollout(self, state: SearchState, max_steps: int = 96,
-                 bound: Optional[float] = None) -> Optional[SearchState]:
+                 incumbent: Optional[float] = None
+                 ) -> Optional[SearchState]:
         """Complete a state by greedily following the Figure 7 recurrence:
         repeatedly apply the best producer pack of some live operand (the
         SLP heuristic as a completion policy), then finish scalar.
@@ -1147,33 +1149,15 @@ class BeamSearch:
         whose remaining work has good producers, and the beam converges
         to near-scalar solutions.
 
-        ``bound`` (the incumbent cost, when the beam calls it) stops the
-        rollout — returning None — once ``g`` meets it: transition and
-        completion costs are non-negative, so the finished rollout could
-        never be kept."""
+        ``incumbent`` (the incumbent cost, when the beam calls it) stops
+        the rollout — returning None — once ``g`` meets it: transition
+        and completion costs are non-negative, so the finished rollout
+        could never be kept."""
         current = state
-        lb = self._lb
-        gate = getattr(self, "_rollout_gate", None)
         for _ in range(max_steps):
-            if bound is not None and current.g >= bound:
+            if incumbent is not None and current.g >= incumbent:
                 self.ctx.counters.inc("beam.incumbent_prunes")
                 return None
-            # Admissible-bound stop: the rollout's eventual completion
-            # costs at least g + lb, and its result is only ever kept
-            # when strictly below the incumbent bound — identical
-            # outcome, fewer greedy steps.  Self-tuning like the other
-            # beam-phase gates: unproductive on this search, it stops
-            # paying the per-step bound eval.
-            if bound is not None and lb is not None and gate is not None:
-                if gate[0] >= _BOUND_GATE_MIN_EVALS and \
-                        gate[1] * _BOUND_GATE_FIRE_RATIO < gate[0]:
-                    lb = None
-                elif lb.provable_total(current, current.g) >= bound:
-                    self.ctx.counters.inc("beam.bound_rollout_stops")
-                    gate[1] += 1
-                    return None
-                else:
-                    gate[0] += 1
             progressed = False
             for operand in self._live_operands(current):
                 residual = self._residual_entry(operand,
@@ -1209,18 +1193,10 @@ class BeamSearch:
     # -- main loop ----------------------------------------------------------------------
 
     def run(self, beam_width: int,
-            patience: Optional[int] = None) -> Optional[SearchState]:
+            patience: Optional[int] = None) -> SearchState:
         if patience is None:
             patience = self.ctx.config.patience
         counters = self.ctx.counters
-        lb_of = self._lb.bound
-        lb_total = self._lb.provable_total
-        # Per-gate [evals, fires] for the self-tuning disable (the beam
-        # phase pays a bound eval per check; an unproductive gate turns
-        # itself off, the exact pass keeps the bound always-on).
-        gate1 = [0, 0]
-        gate3 = [0, 0]
-        self._rollout_gate = [0, 0]
         state = self.initial_state()
         candidates = [state]
         best_solved = self._complete(state)  # the all-scalar solution
@@ -1262,66 +1238,17 @@ class BeamSearch:
                     self._tt[key] = child.g
                     children[key] = child
             scored = []
-            deferred: List[SearchState] = []
-            # Lazy heuristic scoring.  The beam keeps the k smallest
-            # f = g + h with h >= 0, so once k children are scored,
-            # any child whose g alone strictly exceeds the running
-            # kth-best f satisfies f >= g > kth-best-so-far >= final
-            # kth-best and provably cannot enter the beam — its
-            # (expensive) heuristic is never computed.  Children
-            # tying the bound are still scored, so equal-f beam
-            # ties resolve exactly as scoring every child would.  Skipped children are not lost: the deferred
-            # completion pass below is the only other place a
-            # non-beam child can matter.
-            topk: List[float] = []  # max-heap (negated) of k best f
             for child in children.values():
-                g = child.g
-                if len(topk) == beam_width:
-                    kth = -topk[0]
-                    if g > kth:
-                        counters.inc("beam.heuristic_skips")
-                        deferred.append(child)
-                        continue
-                    # Admissible-bound strengthening of the same
-                    # gate: h dominates lb pointwise (every estimate path charges at
-                    # least the bound's amortized per-instruction
-                    # minima over the bits it counts — DESIGN.md
-                    # §16), so f = g + h >= g + lb > kth-best means
-                    # the child provably cannot enter the beam
-                    # either, and strict > preserves equal-f tie
-                    # resolution exactly.
-                    # Self-tuning: the gate pays a bound eval per
-                    # candidate, so if it almost never fires on
-                    # this search it turns itself off (skipping an
-                    # identity-preserving skip is just as
-                    # identity-preserving).
-                    if lb_of is not None:
-                        if g + lb_of(child) > kth:
-                            counters.inc(
-                                "beam.bound_heuristic_skips")
-                            gate1[1] += 1
-                            deferred.append(child)
-                            continue
-                        gate1[0] += 1
-                        if gate1[0] >= _BOUND_GATE_MIN_EVALS and \
-                                gate1[1] * _BOUND_GATE_FIRE_RATIO \
-                                < gate1[0]:
-                            lb_of = None
                 h = self.heuristic(child)
                 if h == INFINITY:
                     continue
-                f = g + h
                 # Tie-break equal f-scores toward states that have
                 # made more vectorization progress.
-                scored.append((f, -len(child.packs), child))
-                if len(topk) < beam_width:
-                    heappush(topk, -f)
-                elif f < -topk[0]:
-                    heapreplace(topk, -f)
+                scored.append((child.g + h, -len(child.packs), child))
             scored.sort(key=lambda item: (item[0], item[1]))
-            outside_beam = len(scored) + len(deferred) - beam_width
-            if outside_beam > 0:
-                counters.inc("beam.candidates_pruned", outside_beam)
+            if len(scored) > beam_width:
+                counters.inc("beam.candidates_pruned",
+                             len(scored) - beam_width)
             candidates = [c for _, _, c in scored[:beam_width]]
             # Lazy child completion: only beam survivors — plus any
             # child whose f = g + h still beats the incumbent (h
@@ -1336,36 +1263,6 @@ class BeamSearch:
                 if completed.g < best_solved.g:
                     best_solved = completed
                     improved = True
-            # Deferred children have no f, so gate on g instead.
-            # This completes a superset of what an f-gate would
-            # (g <= f), and the extras are provably no-ops: h
-            # under-estimates the scalar completion, so any child an
-            # f-gate skips has completed.g >= f >= incumbent and can
-            # never update it.  Both gates only drop provably-useless
-            # completions, so best_solved leaves this block as if
-            # every child had been completed.
-            for child in deferred:
-                if child.g >= best_solved.g:
-                    continue
-                # Admissible-bound gate: the completion cost is at
-                # least g + lb, so meeting the incumbent here means
-                # the completed state could never be adopted (the
-                # update below requires strict <) — skipping the
-                # completion is identity-preserving.
-                if lb_total is not None:
-                    if lb_total(child, child.g) >= best_solved.g:
-                        counters.inc("beam.bound_completion_skips")
-                        gate3[1] += 1
-                        continue
-                    gate3[0] += 1
-                    if gate3[0] >= _BOUND_GATE_MIN_EVALS and \
-                            gate3[1] * _BOUND_GATE_FIRE_RATIO \
-                            < gate3[0]:
-                        lb_total = None
-                completed = self._complete(child)
-                if completed.g < best_solved.g:
-                    best_solved = completed
-                    improved = True
             # Rollout completion of the surviving candidates: greedy SLP
             # extension finds full solutions long before the beam walks
             # there step by step.
@@ -1374,19 +1271,11 @@ class BeamSearch:
                     counters.inc("beam.incumbent_prunes")
                     continue
                 counters.inc("beam.rollouts")
-                rolled = self._rollout(candidate, bound=best_solved.g)
+                rolled = self._rollout(candidate,
+                                       incumbent=best_solved.g)
                 if rolled is not None and rolled.g < best_solved.g:
                     best_solved = rolled
                     improved = True
-            # Warm-started early stop: the bound is a previous identical
-            # run's *final* cost, every incumbent update above is a
-            # strict improvement, and costs are deterministic — so once
-            # the incumbent reaches the bound it is the object the full
-            # run would have returned, and the loop can stop.
-            if self._warm_bound is not None and \
-                    best_solved.g <= self._warm_bound:
-                counters.inc("beam.warmstart_stops")
-                break
             # Sound early exit: transition costs are non-negative, so no
             # open candidate can ever beat a solved state whose g is
             # already <= every open g.
@@ -1404,7 +1293,6 @@ class BeamSearch:
 
 def exhaustive_search(search: BeamSearch,
                       incumbent: Optional[SearchState] = None,
-                      bound: Optional[float] = None,
                       node_budget: Optional[int] = None,
                       memo: Optional[Dict[Tuple, float]] = None,
                       counters=None) -> Tuple[SearchState, bool, int]:
@@ -1423,22 +1311,17 @@ def exhaustive_search(search: BeamSearch,
       first (``best`` is then just the best incumbent).
     * ``nodes`` — states visited.
 
-    ``incumbent`` seeds the bound (typically the beam's solved state),
-    so the result is never worse than it.  ``bound`` enables the
-    warm-start strict prune (``child.g > bound`` branches are cut); it
-    is only sound to pass a *proved* previous final cost — see
-    :mod:`repro.vectorizer.warm`.  The traversal uses a fresh identity
-    memo by default: the beam's transposition table also holds states
-    whose subtrees were beam-width-pruned without exploration, so
-    reusing it here would unsoundly skip them.
+    ``incumbent`` (typically the beam's solved state) is the starting
+    incumbent, so the result is never worse than it.  The traversal uses a
+    fresh identity memo by default: the beam's transposition table also
+    holds states whose subtrees were beam-width-pruned without
+    exploration, so reusing it here would unsoundly skip them.
 
-    The search additionally prunes with the admissible lower bound (:mod:`repro.vectorizer.bounds`):
-    a branch is cut once ``g + lb`` meets the incumbent — the
-    completion of every descendant costs at least that — or strictly
-    exceeds the proved warm bound (composing the cached-incumbent and
-    relaxation bounds: a subtree whose provable total is above the
-    known optimum cannot contain it, nor the first-found optimal state,
-    which lives on a ``g + lb <= bound`` path).  A dominance memo cuts
+    The traversal prunes with the search's admissible lower bound
+    (:meth:`BeamSearch.lower_bound`, :mod:`repro.vectorizer.bounds`),
+    built here on the search's first exact pass: a branch is cut once
+    its provable total ``g + lb`` meets the incumbent — the completion
+    of every descendant costs at least that.  A dominance memo cuts
     lane-permutation/duplication variants: a state is dominated by an
     earlier-explored one with the same ``S`` and ``F``, a subset of its
     ``V``, equal still-free operand-demand bits, and no greater ``g`` —
@@ -1452,7 +1335,7 @@ def exhaustive_search(search: BeamSearch,
         memo = {}
     if counters is None:
         counters = NULL_COUNTERS
-    lb_total = search._lb.provable_total
+    lb_total = search.lower_bound().provable_total
     # Dominance memo: (S, F) -> [(V, obits(V) & F, g)] of explored
     # states, capped per class.
     dom: Dict[Tuple[int, int], List[Tuple]] = {}
@@ -1488,20 +1371,14 @@ def exhaustive_search(search: BeamSearch,
         child = children[index]
         if child.g >= best.g:
             continue  # branch and bound: costs only grow
-        if bound is not None and child.g > bound:
-            counters.inc("beam.warmstart_prunes")
-            continue
         if child.solved:
             best = child  # g < best.g checked above
             continue
         total = lb_total(child, child.g)
         # Sound subtree cut: every completion below costs at least
-        # ceil(g + lb) (totals are integral).  Meeting the incumbent
-        # (adoption needs strict <) or strictly exceeding the proved
-        # warm bound (the optimum, and the first-found optimal state,
-        # live on provable-total <= bound paths) makes the subtree
-        # worthless.
-        if total >= best.g or (bound is not None and total > bound):
+        # ceil(g + lb) (totals are integral), and meeting the incumbent
+        # (adoption needs strict <) makes the subtree worthless.
+        if total >= best.g:
             counters.inc("beam.bound_prunes")
             continue
         key = child.identity()
@@ -1520,17 +1397,6 @@ def exhaustive_search(search: BeamSearch,
 #: Explored states remembered per (S, F) dominance class; a small cap
 #: keeps the subset scan O(1) per child.
 _DOMINANCE_CLASS_CAP = 12
-
-#: Self-tuning beam-phase bound gates: after this many unproductive
-#: evals a gate checks its fire rate...
-_BOUND_GATE_MIN_EVALS = 512
-#: ... and turns itself off unless at least one eval in this many
-#: fired.  The beam pays a bound eval per gate check, so a gate that
-#: (almost) never fires on a given search is pure overhead; turning it
-#: off skips only identity-preserving skips, so results are unchanged
-#: either way.  The exact pass never self-tunes — its prunes carry the
-#: optimality proof.
-_BOUND_GATE_FIRE_RATIO = 64
 
 
 def _dominance_cut(search: BeamSearch, dom: Dict, state: SearchState,
@@ -1569,10 +1435,9 @@ def select_packs(ctx: VectorizationContext) -> Tuple[List[Pack], float]:
 
     An empty pack list means "leave the block scalar".
 
-    Dispatches on the config: ``exact`` appends the exhaustive
+    With ``config.exact`` the beam is followed by the exhaustive
     branch-and-bound pass (seeded with the beam's incumbent, so never
-    worse), ``warm_start`` consults the content-addressed cost cache for
-    an early-stop/prune bound.
+    worse).
 
     Allocation discipline: the cyclic garbage collector is paused for
     the duration of the search, which allocates millions of
@@ -1585,63 +1450,33 @@ def select_packs(ctx: VectorizationContext) -> Tuple[List[Pack], float]:
     (:meth:`VectorizationContext.release_search_caches`) — is freed by
     refcounting before the collector is re-enabled, and no collection
     ever has to trace it.  Pausing changes nothing about the result."""
-    config = ctx.config
-    counters = ctx.counters
-    warm_cache = None
-    warm_cache_key = None
-    warm_entry = None
-    if config.warm_start:
-        from repro.vectorizer.warm import (
-            context_warm_key,
-            default_warm_cache,
-        )
-        warm_cache = default_warm_cache()
-        warm_cache_key = context_warm_key(ctx)
-        warm_entry = warm_cache.get(warm_cache_key)
-        counters.inc("beam.warmstart_hits" if warm_entry is not None
-                     else "beam.warmstart_misses")
     was_enabled = gc.isenabled()
     gc.disable()
     try:
         # The search lives only in _run_search's frame: by the time it
         # returns, every object the search allocated is freed.
-        solved = _run_search(ctx, warm_entry)
+        packs, cost = _run_search(ctx)
     finally:
         ctx.release_search_caches()
         if was_enabled:
             gc.enable()
-    if solved is None:
-        return [], INFINITY
-    packs, cost, proved = solved
-    if warm_cache is not None:
-        warm_cache.put(warm_cache_key, cost, proved)
     return list(packs), cost
 
 
-def _run_search(ctx: VectorizationContext, warm_entry
-                ) -> Optional[Tuple[Tuple[Pack, ...], float, bool]]:
+def _run_search(ctx: VectorizationContext
+                ) -> Tuple[Tuple[Pack, ...], float]:
     """The beam (plus the exact pass when configured) on a fresh search;
-    ``(packs, cost, proved)`` of the selected state, or None."""
+    ``(packs, cost)`` of the selected state, or None."""
     config = ctx.config
     counters = ctx.counters
     search = BeamSearch(ctx)
-    if warm_entry is not None:
-        search._warm_bound = warm_entry[0]
     solved = search.run(config.beam_width)
-    proved = False
-    if config.exact and solved is not None:
+    if config.exact:
         counters.inc("beam.exact_runs")
-        # Warm bound only when the cached cost carries an optimality
-        # proof: pruning at an unproved (budget-truncated) cost could
-        # steer a budget-truncated rerun to a different incumbent,
-        # breaking warm/cold identity.
-        exact_bound = warm_entry[0] \
-            if warm_entry is not None and warm_entry[1] else None
         beam_g = solved.g
         solved, proved, nodes = exhaustive_search(
             search,
             incumbent=solved,
-            bound=exact_bound,
             node_budget=config.exact_node_budget,
             counters=counters,
         )
@@ -1650,6 +1485,4 @@ def _run_search(ctx: VectorizationContext, warm_entry
                      else "beam.exact_budget_exhausted")
         if solved.g < beam_g:
             counters.inc("beam.exact_improvements")
-    if solved is None:
-        return None
-    return solved.packs, solved.g, proved
+    return solved.packs, solved.g

@@ -54,7 +54,8 @@ of ``S`` that ends up pack-produced pays ``c_extract`` in
   ``S``;
 * ``lbSV(i) = min(scalar + c_insert, amort + min(c_extract, scalar))``
   — in both (the extract arm is capped at ``scalar`` so the Figure 7
-  heuristic still dominates the bound pointwise, see below).
+  heuristic still dominates the bound pointwise; no search decision
+  rests on that, since only the exact pass reads the bound).
 
 Stores are always charged ``lb0`` (no result: never an operand lane,
 and ``StorePack`` pays no extract).
@@ -81,10 +82,9 @@ cost is an integer, every transition delta — and hence every completion
 total — is an integer.  :meth:`provable_total` then returns
 ``ceil(g + lb)``, which is still a valid lower bound on any completion
 total and strictly stronger whenever ``g + lb`` is fractional (the
-amortized shares almost always are).  Consumers that compare against an
-incumbent *total* (always an integer sum of deltas) use it; the beam's
-lazy-heuristic gate compares against ``g + h`` values, which need not
-be integral, and keeps the plain bound.
+amortized shares almost always are).  It is sound only against an
+incumbent *total* (always an integer sum of deltas), which is what the
+exact pass compares it with.
 
 Exactness of the sums
 ---------------------
@@ -120,7 +120,9 @@ _INFINITY = float("inf")
 
 
 class MatchingLowerBound:
-    """Per-search admissible bound provider (one instance per search).
+    """Per-search admissible bound provider, built by
+    :meth:`~repro.vectorizer.beam.BeamSearch.lower_bound` when the exact
+    pass starts (at most one instance per search).
 
     Construction precomputes the per-instruction charge tables and the
     forced-closure bitsets from registration-time data (dependence

@@ -72,18 +72,6 @@ class VectorizerConfig:
     #: because the bench's gap pass re-proves every one of the 132 cells
     #: on each run and only reports, never returns, the result.
     exact_node_budget: int = DEFAULT_EXACT_NODE_BUDGET
-    #: Warm-start the incumbent from a previous run's final cost, looked
-    #: up in the content-addressed warm cost cache
-    #: (:mod:`repro.vectorizer.warm`, keyed like the serve cache:
-    #: canonical IR x target x canonical config x artifact hash, plus
-    #: the cost model).  Provably identity-preserving: the beam stops
-    #: early only once its incumbent already equals the cached final
-    #: cost (every later improvement is strictly ``<``, so the returned
-    #: state could never change), and the exhaustive pass prunes only
-    #: strictly-above-bound branches.  Off by default so counter-shape
-    #: differential contracts are unperturbed; only node counts and
-    #: ``beam.warmstart_*`` counters may differ when enabled.
-    warm_start: bool = False
 
     # -- canonical serialization ---------------------------------------
     #
@@ -106,7 +94,6 @@ class VectorizerConfig:
         "patience",
         "exact",
         "exact_node_budget",
-        "warm_start",
     )
 
     def canonical_dict(self) -> Dict[str, object]:

@@ -1,10 +1,9 @@
 """Tests for size-capped LRU eviction of the on-disk cache tiers.
 
-Covers the shared :mod:`repro.disklru` helpers plus their wiring into
-the serve result cache (``REPRO_SERVE_CACHE_LIMIT``) and the warm-start
-cost cache (``REPRO_WARM_CACHE_LIMIT``).  mtime is the recency signal;
-tests pin mtimes explicitly so ordering never depends on filesystem
-timestamp granularity.
+Covers the :mod:`repro.disklru` helpers plus their wiring into the
+serve result cache (``REPRO_SERVE_CACHE_LIMIT``).  mtime is the recency
+signal; tests pin mtimes explicitly so ordering never depends on
+filesystem timestamp granularity.
 """
 
 import os
@@ -19,12 +18,6 @@ from repro.disklru import (
 )
 from repro.obs import Counters
 from repro.serve.cache import CACHE_LIMIT_ENV, ResultCache
-from repro.vectorizer.warm import (
-    WARM_CACHE_ENV,
-    WARM_LIMIT_ENV,
-    WarmCostCache,
-    default_warm_cache,
-)
 
 
 def _set_mtime(path, when):
@@ -150,52 +143,3 @@ class TestServeCacheEviction:
             cache.put(str(i) * 64, b"B" * 1000, counters)
         assert cache.disk_entries() == 8
         assert counters["serve.cache_disk_evictions"] == 0
-
-
-class TestWarmCacheEviction:
-    def _entry_size(self, tmp_path):
-        probe = WarmCostCache(disk_dir=str(tmp_path / "probe"))
-        probe.put("0" * 64, 12.5, proved=True)
-        return disk_tier_size(str(tmp_path / "probe"))
-
-    def test_writes_evict_oldest(self, tmp_path):
-        size = self._entry_size(tmp_path)
-        cache = WarmCostCache(disk_dir=str(tmp_path / "w"),
-                              disk_limit_bytes=int(size * 2.5))
-        for i, when in ((1, 1000), (2, 2000), (3, 3000)):
-            cache.put(str(i) * 64, float(i))
-            _set_mtime(cache.entry_path(str(i) * 64), when)
-        cache.put("4" * 64, 4.0)
-        assert cache.disk_evictions >= 1
-        cache.clear_memory()
-        assert cache.get("1" * 64) is None
-        assert cache.get("3" * 64) == (3.0, False)
-
-    def test_disk_hit_refreshes_recency(self, tmp_path):
-        size = self._entry_size(tmp_path)
-        cache = WarmCostCache(disk_dir=str(tmp_path / "w"),
-                              disk_limit_bytes=int(size * 2.5))
-        for i, when in ((1, 1000), (2, 2000)):
-            cache.put(str(i) * 64, float(i))
-            _set_mtime(cache.entry_path(str(i) * 64), when)
-        cache.clear_memory()
-        assert cache.get("1" * 64) == (1.0, False)  # refresh entry 1
-        cache.put("3" * 64, 3.0)
-        cache.clear_memory()
-        assert cache.get("2" * 64) is None
-        assert cache.get("1" * 64) == (1.0, False)
-
-    def test_env_knobs_rebuild_default_cache(self, tmp_path,
-                                             monkeypatch):
-        monkeypatch.setenv(WARM_CACHE_ENV, str(tmp_path))
-        monkeypatch.setenv(WARM_LIMIT_ENV, "8K")
-        cache = default_warm_cache()
-        assert cache.disk_dir == str(tmp_path)
-        assert cache.disk_limit_bytes == 8192
-        monkeypatch.setenv(WARM_LIMIT_ENV, "16K")
-        assert default_warm_cache().disk_limit_bytes == 16384
-        monkeypatch.delenv(WARM_LIMIT_ENV)
-        monkeypatch.delenv(WARM_CACHE_ENV)
-        rebuilt = default_warm_cache()
-        assert rebuilt.disk_dir is None
-        assert rebuilt.disk_limit_bytes is None

@@ -15,7 +15,7 @@ from repro.obs import Counters, Tracer
 from repro.obs.counters import COUNTER_NAMES
 from repro.session import VectorizationSession
 from repro.target import get_target
-from repro.vectorizer import VectorizationContext
+from repro.vectorizer import VectorizationContext, VectorizerConfig
 from repro.vectorizer.beam import BeamSearch, SearchState
 from repro.vectorizer.report import render_report
 
@@ -196,8 +196,34 @@ class TestSearchCounters:
         for name in self.NEW_COUNTERS:
             assert name in report, name
 
-    def test_bound_counters_fire(self):
+    def test_bound_counters_fire(self, monkeypatch):
+        """Only the exact pass builds and reads the admissible bound: a
+        beam-only compile constructs no ``MatchingLowerBound`` and
+        evaluates none, an exact one builds one and prunes with it."""
+        from repro.vectorizer import beam
+
+        built = []
+
+        class CountingBound(beam.MatchingLowerBound):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(beam, "MatchingLowerBound", CountingBound)
+        kernel = all_kernels()["dsp_fft4"]
+
         counters = Counters()
         session = VectorizationSession(target="sse4", beam_width=8)
-        session.vectorize(all_kernels()["dsp_fft4"], counters=counters)
+        session.vectorize(kernel, counters=counters)
+        assert not built
+        assert counters.get("beam.bound_evals") == 0, counters.as_dict()
+
+        counters = Counters()
+        session = VectorizationSession(
+            target="sse4", beam_width=8,
+            config=VectorizerConfig(beam_width=8, exact=True,
+                                    exact_node_budget=5000))
+        session.vectorize(kernel, counters=counters)
+        assert len(built) == 1
         assert counters.get("beam.bound_evals") > 0, counters.as_dict()
+        assert counters.get("beam.bound_prunes") > 0, counters.as_dict()

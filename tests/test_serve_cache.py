@@ -125,7 +125,7 @@ def test_key_has_no_concatenation_ambiguity():
 
 
 def test_config_canonical_dict_round_trip():
-    config = VectorizerConfig(beam_width=3, warm_start=True)
+    config = VectorizerConfig(beam_width=3, exact=True)
     again = VectorizerConfig.from_canonical_dict(config.canonical_dict())
     assert again == config
     # JSON form is deterministic and key-sorted.
@@ -161,8 +161,8 @@ def test_config_from_canonical_rejects_unknown_and_mistyped():
         VectorizerConfig.from_canonical_dict({"beam_width": "wide"})
     with pytest.raises(ValueError, match="beam_width"):
         VectorizerConfig.from_canonical_dict({"beam_width": True})
-    with pytest.raises(ValueError, match="warm_start"):
-        VectorizerConfig.from_canonical_dict({"warm_start": 1})
+    with pytest.raises(ValueError, match="exact"):
+        VectorizerConfig.from_canonical_dict({"exact": 1})
 
 
 def test_current_artifact_hash_is_stable_and_hexish():

@@ -1,11 +1,12 @@
 """HTTP-level tests against a real in-process server.
 
 One shared :class:`ServerFixture` (background event loop + forked
-worker) serves most tests; a couple of scenarios that need special
-``ServeConfig`` values (backpressure, oversized bodies) spin their own.
+worker) serves most tests; the backpressure scenario, which needs a
+special ``ServeConfig`` value, spins its own.
 """
 
 import asyncio
+import json
 
 import pytest
 
@@ -104,6 +105,8 @@ def test_request_validation_errors(server):
         ({"source": _C_SRC, "config": {"beam_width": "wide"}},
          "bad config"),
         ({"source": _C_SRC, "config": {"memoize": False}}, "memoize"),
+        ({"source": _C_SRC, "config": {"warm_start": True}},
+         "unknown VectorizerConfig fields: warm_start"),
         ({"source": "void f() { syntax error", "lang": "c"}, "compile"),
     ]
     for payload, needle in cases:
@@ -251,19 +254,19 @@ def test_max_pending_zero_means_immediate_429():
         assert metrics["counters"].get("serve.compiles", 0) == 0
 
 
-def test_oversized_body_is_413(server):
+_POST = "POST /compile HTTP/1.1\r\n"
+
+
+def _raw_exchange(server, data: bytes) -> bytes:
+    """Send raw bytes on a fresh connection and read until the server
+    closes it."""
     async def main():
         reader, writer = await asyncio.open_connection(
             server.host, server.port)
         try:
-            head = (
-                "POST /compile HTTP/1.1\r\n"
-                "Content-Length: 99999999\r\n\r\n"
-            ).encode()
-            writer.write(head)
+            writer.write(data)
             await writer.drain()
-            status_line = await reader.readline()
-            return int(status_line.split()[1])
+            return await asyncio.wait_for(reader.read(), timeout=30)
         finally:
             writer.close()
             try:
@@ -271,7 +274,52 @@ def test_oversized_body_is_413(server):
             except (ConnectionResetError, BrokenPipeError, OSError):
                 pass
 
-    assert server.run(main()) == 413
+    return server.run(main())
+
+
+def _framing_rejected(server, head: str, status: int) -> str:
+    """Send ``head`` then a pipelined ``GET /healthz``: the server must
+    answer ``status`` with ``Connection: close``, count one error, and
+    close without serving the pipelined request.  Returns the error
+    message."""
+    errors = server.metrics()["counters"].get("serve.errors", 0)
+    reply = _raw_exchange(
+        server, (head + "GET /healthz HTTP/1.1\r\n\r\n").encode())
+    response_head, _, body = reply.partition(b"\r\n\r\n")
+    lines = response_head.decode("latin-1").split("\r\n")
+    assert int(lines[0].split()[1]) == status, reply
+    assert "Connection: close" in lines[1:], reply
+    length = next(int(line.split(":", 1)[1]) for line in lines[1:]
+                  if line.lower().startswith("content-length:"))
+    assert len(body) == length, "bytes after the error response"
+    doc = json.loads(body)
+    assert doc["error"] == "bad-request"
+    after = server.metrics()["counters"]["serve.errors"]
+    assert after - errors == 1
+    return doc["message"]
+
+
+def test_oversized_body_is_413(server):
+    message = _framing_rejected(
+        server, _POST + "Content-Length: 99999999\r\n\r\n", 413)
+    assert "too large" in message
+
+
+@pytest.mark.parametrize("head, needle", [
+    (_POST + "Content-Length: -5\r\n\r\n", "Content-Length"),
+    (_POST + "Content-Length: abc\r\n\r\n", "Content-Length"),
+    (_POST + "Content-Length: \r\n\r\n", "Content-Length"),
+    (_POST + "Content-Length: 2\r\nContent-Length: 0\r\n\r\n{}",
+     "conflicting"),
+    (_POST + "Transfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n",
+     "Transfer-Encoding"),
+    ("GARBAGE\r\n\r\n", "request line"),
+    (_POST + f"X-Padding: {'a' * 70000}\r\n\r\n", "too long"),
+], ids=["negative-length", "text-length", "empty-length",
+        "conflicting-lengths", "chunked", "garbled-request-line",
+        "overlong-header"])
+def test_unframeable_request_is_400(server, head, needle):
+    assert needle in _framing_rejected(server, head, 400)
 
 
 def test_workers_zero_is_rejected(capsys):
