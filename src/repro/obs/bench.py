@@ -82,7 +82,8 @@ def bench_one(kernel_name: str, function, target: str,
     validation over the emitted program and records its proof status in
     a ``verify`` column (``proved``/``validated``/``failed``) plus
     ``transval.*`` counters.  Verification runs after ``wall_s`` is
-    measured, so vectorization wall times are unaffected.
+    measured, so vectorization wall times are unaffected; its own wall
+    time is the ``verify_s`` column.
 
     ``gap_node_budget`` bounds the exhaustive branch-and-bound pass
     behind the ``optimality_gap`` column: after the measured run, the
@@ -93,7 +94,9 @@ def bench_one(kernel_name: str, function, target: str,
     the exact pass entirely (the column is then an explicit ``null``).
     The exact pass runs after ``wall_s``/``phases`` are measured and
     never touches the recorded costs, so v1 trajectories compare clean
-    against v2 documents.
+    against v2 documents.  Its wall time (session build, beam and exact
+    pass) is the ``gap_s`` column and its ``beam.exact_nodes`` the
+    ``gap_nodes`` column; both are absent when the pass is disabled.
     """
     from repro.obs.counters import Counters
     from repro.obs.trace import Tracer
@@ -121,10 +124,14 @@ def bench_one(kernel_name: str, function, target: str,
     if verify:
         from repro.analysis.transval import validate_result
 
+        start = time.perf_counter()
         report = validate_result(result, counters=counters)
+        verify_s = time.perf_counter() - start
         verify_status = report.status
     optimality_gap = None
+    gap_nodes = None
     if gap_node_budget > 0:
+        start = time.perf_counter()
         exact_counters = Counters()
         exact_session = VectorizationSession(
             target=target, beam_width=beam_width,
@@ -133,6 +140,8 @@ def bench_one(kernel_name: str, function, target: str,
         )
         exact_result = exact_session.vectorize(function,
                                                counters=exact_counters)
+        gap_s = time.perf_counter() - start
+        gap_nodes = exact_counters.get("beam.exact_nodes")
         if exact_counters.get("beam.exact_proved") > 0:
             optimality_gap = round(
                 result.cost.total - exact_result.cost.total, 6
@@ -160,6 +169,10 @@ def bench_one(kernel_name: str, function, target: str,
     }
     if verify_status is not None:
         cell["verify"] = verify_status
+        cell["verify_s"] = round(verify_s, 6)
+    if gap_nodes is not None:
+        cell["gap_s"] = round(gap_s, 6)
+        cell["gap_nodes"] = gap_nodes
     if profiler is not None:
         cell["profile"] = _top_profile_entries(profiler, profile_top)
     return cell
@@ -292,6 +305,11 @@ def run_bench(kernel_names: Optional[Sequence[str]] = None,
         summary["num_proved"] = sum(
             1 for r in results if r.get("verify") == "proved"
         )
+        summary["total_verify_s"] = round(
+            sum(r["verify_s"] for r in results), 3)
+    if gap_node_budget > 0:
+        summary["total_gap_s"] = round(
+            sum(r["gap_s"] for r in results), 3)
     return {
         "schema": BENCH_SCHEMA,
         "version": __version__,
@@ -386,6 +404,16 @@ def validate_bench(doc: Dict) -> None:
         if "verify" in result:  # optional: present unless --no-verify
             if not isinstance(result["verify"], str):
                 raise ValueError(f"results[{i}].verify must be a string")
+        # Optional timing columns (absent in older documents and when
+        # their pass is disabled).
+        for field, types in (("verify_s", (int, float)),
+                             ("gap_s", (int, float)),
+                             ("gap_nodes", int)):
+            if field in result and not isinstance(result[field], types):
+                raise ValueError(
+                    f"results[{i}].{field} has type "
+                    f"{type(result[field]).__name__}"
+                )
         if "profile" in result:  # optional: present under --profile
             if not isinstance(result["profile"], list):
                 raise ValueError(f"results[{i}].profile must be a list")

@@ -33,7 +33,9 @@ COUNTER_NAMES = frozenset({
     # beam search (§5.2, Figure 9)
     "beam.iterations",            # outer search iterations run
     "beam.states_expanded",       # parent states passed to expand()
-    "beam.children_generated",    # child states produced by expand()
+    "beam.children_generated",    # child transitions generated by
+                                  # transitions(): pack children plus
+                                  # scalar fixes, built or not
     "beam.candidates_pruned",     # scored children cut by the beam width
     "beam.rollouts",              # greedy SLP rollout completions
     "beam.solved_improvements",   # times the incumbent solution improved
@@ -47,6 +49,8 @@ COUNTER_NAMES = frozenset({
                                   # index before _apply_pack
     # admissible matching bound (repro.vectorizer.bounds)
     "beam.bound_evals",           # lower-bound evaluations computed
+                                  # (exact-pass children past the g-cut
+                                  # and the identity memo)
     "beam.bound_prunes",          # exhaustive branches cut because
                                   # g + lb met the incumbent
     "beam.bound_dominance_cuts",  # exhaustive states cut by the
@@ -55,6 +59,8 @@ COUNTER_NAMES = frozenset({
     # exhaustive branch-and-bound (config.exact)
     "beam.exact_runs",            # exhaustive passes started
     "beam.exact_nodes",           # states visited by the exhaustive DFS
+    "beam.exact_tt_hits",         # exact-pass children dropped as
+                                  # already-entered states
     "beam.exact_proved",          # passes that ran to exhaustion (the
                                   # returned cost is provably optimal)
     "beam.exact_budget_exhausted",  # passes stopped by exact_node_budget

@@ -304,6 +304,11 @@ class CompileServer:
         except (ValueError, UnicodeDecodeError) as exc:
             return self._error(400, "bad-request",
                                f"body is not valid JSON: {exc}")
+        except RecursionError:
+            # Nesting deeper than the decoder's recursion limit: a
+            # hostile body, not a server fault.
+            return self._error(400, "bad-request",
+                               "body is not valid JSON: nested too deeply")
         try:
             request = parse_compile_request(
                 payload,

@@ -29,7 +29,8 @@ The search is engineered as a bounded branch-and-bound engine:
   iteration.  Pure caching: bit-identical by construction.
 * **Seed liveness indexing** — seed packs are indexed by their produced
   bitsets, so a decided instruction kills exactly the seeds it
-  invalidates and ``expand`` never re-tries them (``beam.seed_skips``).
+  invalidates; the live-seed mask is memoized per decided set and
+  ``transitions`` visits only its set bits (``beam.seed_skips``).
   Rejected pack applications are additionally memoized on the masked
   free-set key (``beam.apply_reject_hits``); feasibility depends only on
   ``free & (vbits | users)``, so the memo is exact.
@@ -42,13 +43,16 @@ The search is engineered as a bounded branch-and-bound engine:
   incumbent) are completed, so completion work scales with the beam
   width instead of the branching factor.
 * **Exact pass** — with ``VectorizerConfig(exact=True)`` the beam's
-  incumbent seeds :func:`exhaustive_search`, which cuts every subtree
-  whose provable total ``g + lb`` meets the incumbent and adds a
-  dominance memo; that is where the optimality proofs come from.  The
-  admissible lower bound ``lb`` (a fractional pack-cover relaxation,
-  :mod:`repro.vectorizer.bounds`, DESIGN.md §16) has no other consumer,
-  so it is built when the exact pass starts and a beam-only search
-  never builds it.
+  incumbent seeds :func:`exhaustive_search`, a depth-first branch and
+  bound that cuts each child in the order g, solved, identity memo,
+  bound (``g + lb`` meets the incumbent), dominance memo; that is where
+  the optimality proofs come from.  Scalar-fix children are built
+  lazily: the pass computes a fix's ``(V, S, F, g)`` when it pops it and
+  builds the state only if it survives the g-cut and the memo, which
+  drop most of them.  The admissible lower bound ``lb`` (a fractional
+  pack-cover relaxation, :mod:`repro.vectorizer.bounds`, DESIGN.md §16)
+  has no other consumer, so it is built when the exact pass starts and
+  a beam-only search never builds it.
 
 The per-cell ``program_sha256`` digests committed in ``BENCH_vegen.json``
 pin what the search selects (``tests/test_bench_digests.py``).
@@ -57,7 +61,6 @@ pin what the search selects (``tests/test_bench_digests.py``).
 from __future__ import annotations
 
 import gc
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.ir.instructions import Instruction, StoreInst, RetInst
@@ -116,13 +119,24 @@ def _mask_obits_fn(obits_by_id: List[int],
     return mask_obits
 
 
-@dataclass(frozen=True)
 class SearchState:
-    operand_mask: int                # V as a mask over dense operand ids
-    scalar_bits: int                 # S as an instruction bitset
-    free_bits: int                   # F as an instruction bitset
-    packs: Tuple[Pack, ...]
-    g: float
+    """One search state: ``V`` as a mask over dense operand ids, ``S``
+    and ``F`` as instruction bitsets, the packs chosen so far and the
+    cost ``g`` paid for them.
+
+    A plain slotted class: states are built by the hundred thousand and
+    never compared or hashed (every memo key is an ``identity()``
+    triple), and nothing mutates one after construction."""
+
+    __slots__ = ("operand_mask", "scalar_bits", "free_bits", "packs", "g")
+
+    def __init__(self, operand_mask: int, scalar_bits: int,
+                 free_bits: int, packs: Tuple[Pack, ...], g: float):
+        self.operand_mask = operand_mask
+        self.scalar_bits = scalar_bits
+        self.free_bits = free_bits
+        self.packs = packs
+        self.g = g
 
     def identity(self) -> Tuple:
         return (self.operand_mask, self.scalar_bits, self.free_bits)
@@ -145,8 +159,8 @@ class BeamSearch:
       (flat lists; one index replaces a tuple-keyed dict probe),
     * ``_member_masks`` — instruction index -> mask of operand ids whose
       lanes contain it (scalar fixes retest only those),
-    * ``_inst_occ`` — element id -> [(operand-id bit, occurrence count)]
-      (the Figure 9 costinsert term as mask tests).
+    * ``_inst_occ`` — instruction index -> [(operand-id bit, occurrence
+      count)] (the Figure 9 costinsert term as mask tests).
 
     Dense ids are registration order, so LSB-first mask iteration visits
     a state's operands in the order they were first registered, never in
@@ -165,7 +179,8 @@ class BeamSearch:
         #: scalar slice each in-block operand lane contributes.
         self._inst_slices = [closure | (1 << i)
                              for i, closure in enumerate(dg._closure)]
-        self._users_bits = self._compute_users_bits()
+        self._users_bits, self._inst_opnd_bits = \
+            self._compute_def_use_bits()
         self._operand_bits_cache: Dict[Tuple, int] = {}
         # The dense-id operand registry (see the class docstring):
         # operand key -> dense id, plus the per-id tables.
@@ -173,8 +188,12 @@ class BeamSearch:
         self._ops_by_id: List[OperandVector] = []
         self._obits_by_id: List[int] = []
         self._member_masks: List[int] = [0] * len(self._instructions)
-        self._inst_occ: Dict[int, List[Tuple[int, int]]] = {}
-        self._inst_opnd_bits: Dict[int, int] = {}
+        self._inst_occ: List[List[Tuple[int, int]]] = [
+            [] for _ in self._instructions]
+        # Instruction index -> scalar cost: with _inst_opnd_bits, the
+        # state-independent half of a scalar fix.
+        self._scalar_costs = [self.model.scalar_cost(inst)
+                              for inst in self._instructions]
         # operand mask -> [operands].  A pure per-mask cache; masks
         # repeat heavily across heuristic/completion/expand calls.
         self._live_ops_memo: Dict[int, List[OperandVector]] = {}
@@ -240,6 +259,8 @@ class BeamSearch:
             self._seed_packs = self._enumerate_seed_packs()
         (self._seed_kill_masks, self._seed_dead_mask,
          self._seed_vbits_union) = self._index_seeds()
+        # free & seed-vbits union -> (alive, killed) seed-position masks.
+        self._seed_live_memo: Dict[int, Tuple[int, int]] = {}
 
     def lower_bound(self) -> MatchingLowerBound:
         """The admissible lower-bound provider, built on first use.
@@ -255,17 +276,21 @@ class BeamSearch:
 
     # -- setup -------------------------------------------------------------
 
-    def _compute_users_bits(self) -> List[int]:
-        bits = [0] * len(self._instructions)
+    def _compute_def_use_bits(self) -> Tuple[List[int], List[int]]:
+        """Per instruction index: the bits of its in-block users (the
+        return is no user) and of its in-block operands."""
+        users = [0] * len(self._instructions)
+        operands = [0] * len(self._instructions)
         dg = self.ctx.dep_graph
         for inst in self._instructions:
-            if isinstance(inst, RetInst):
-                continue
             i = dg.index(inst)
             for op in inst.operands:
                 if dg.contains(op):
-                    bits[dg.index(op)] |= 1 << i
-        return bits
+                    j = dg.index(op)
+                    operands[i] |= 1 << j
+                    if not isinstance(inst, RetInst):
+                        users[j] |= 1 << i
+        return users, operands
 
     def _enumerate_seed_packs(self) -> List[Pack]:
         counters = self.ctx.counters
@@ -287,9 +312,9 @@ class BeamSearch:
 
         A seed applies only while *all* its produced instructions are
         still free, so the seeds killed by a state are exactly the union
-        of the kill masks of its decided instructions — computed with
-        one OR per decided bit in ``expand`` instead of one
-        ``_apply_pack`` attempt per seed per state."""
+        of the kill masks of its decided instructions
+        (:meth:`_live_seeds`) — instead of one ``_apply_pack`` attempt
+        per seed per state."""
         kill = [0] * len(self._instructions)
         dead = 0
         union = 0
@@ -347,18 +372,18 @@ class BeamSearch:
                 index = (remaining & -remaining).bit_length() - 1
                 remaining &= remaining - 1
                 member[index] |= opbit
+            # Lanes outside the block (constants, arguments) are never
+            # scalar-fixed, so only in-block lanes get occurrence rows.
             counts: Dict[int, int] = {}
+            index_of = self._index_of
             for element in operand:
                 if element is not DONT_CARE:
-                    eid = id(element)
-                    counts[eid] = counts.get(eid, 0) + 1
+                    index = index_of(id(element))
+                    if index is not None:
+                        counts[index] = counts.get(index, 0) + 1
             occ = self._inst_occ
-            for eid, count in counts.items():
-                entry = occ.get(eid)
-                if entry is None:
-                    occ[eid] = [(opbit, count)]
-                else:
-                    entry.append((opbit, count))
+            for index, count in counts.items():
+                occ[index].append((opbit, count))
         return opid
 
     def _live_operands(self, state: SearchState) -> List[OperandVector]:
@@ -471,6 +496,22 @@ class BeamSearch:
     # -- transitions -------------------------------------------------------------------
 
     def expand(self, state: SearchState) -> List[SearchState]:
+        """Every child of ``state``: the pack children of
+        :meth:`transitions`, then its scalar fixes applied."""
+        children, fixes = self.transitions(state)
+        for index in fixes:
+            mask, scalars, free, g = self._fix_transition(state, index)
+            children.append(SearchState(mask, scalars, free, state.packs, g))
+        return children
+
+    def transitions(self, state: SearchState
+                    ) -> Tuple[List[SearchState], List[int]]:
+        """``state``'s outgoing transitions, in generation order: the
+        pack children (built now — a pack's first successful application
+        registers its operands, which fixes the dense operand ids) and
+        the instruction indices of its scalar fixes, which the caller
+        applies when it needs them (:meth:`_fix_transition`).  Together
+        they hold at most ``max_transitions_per_state`` children."""
         counters = self.ctx.counters
         counters.inc("beam.states_expanded")
         children: List[SearchState] = []
@@ -494,25 +535,21 @@ class BeamSearch:
             if child is not None:
                 children.append(child)
 
-        # Seed packs, filtered through the liveness index: every decided
-        # instruction kills the seeds whose vbits contain it, so only
-        # still-plausible seeds reach _apply_pack.  Iteration stays in
+        # Seed packs, filtered through the liveness index: only seeds
+        # that no decided instruction has killed reach _apply_pack, in
         # enumeration order — the skip is a pure filter, so the children
-        # produced (and their order) are unchanged.
-        killed = self._seed_dead_mask
-        decided = self._seed_vbits_union & ~state.free_bits
-        kill_masks = self._seed_kill_masks
-        while decided:
-            index = (decided & -decided).bit_length() - 1
-            decided &= decided - 1
-            killed |= kill_masks[index]
-        skipped = 0
-        for pos, pack in enumerate(self._seed_packs):
-            if (killed >> pos) & 1:
-                skipped += 1
-                continue
+        # produced (and their order) are unchanged.  beam.seed_skips
+        # counts the killed positions before the transition-limit break.
+        alive, killed = self._live_seeds(state.free_bits)
+        seed_packs = self._seed_packs
+        while alive:
+            low = alive & -alive
+            pos = low.bit_length() - 1
             if len(children) >= limit:
+                killed &= low - 1
                 break
+            alive ^= low
+            pack = seed_packs[pos]
             pkey = pack.key()
             if pkey in seen_packs:
                 continue
@@ -520,15 +557,37 @@ class BeamSearch:
             child = self._apply_pack(state, pack)
             if child is not None:
                 children.append(child)
-        if skipped:
-            counters.inc("beam.seed_skips", skipped)
+        if killed:
+            counters.inc("beam.seed_skips", _bit_count(killed))
 
-        for index in self._scalar_fix_candidates(state):
-            if len(children) >= limit:
-                break
-            children.append(self._apply_scalar_fix(state, index))
-        counters.inc("beam.children_generated", len(children))
-        return children
+        fixes = self._scalar_fix_candidates(state)
+        room = limit - len(children)
+        if len(fixes) > room:
+            del fixes[room:]
+        counters.inc("beam.children_generated", len(children) + len(fixes))
+        return children, fixes
+
+    def _live_seeds(self, free_bits: int) -> Tuple[int, int]:
+        """``(alive, killed)`` seed-position masks under a free set.
+
+        A seed is killed once any of its produced instructions is
+        decided (or if it can never apply); the masks depend on ``free``
+        only through the union of the seeds' produced bits, so they are
+        memoized on that masked key."""
+        key = free_bits & self._seed_vbits_union
+        cached = self._seed_live_memo.get(key)
+        if cached is None:
+            killed = self._seed_dead_mask
+            decided = self._seed_vbits_union & ~key
+            kill_masks = self._seed_kill_masks
+            while decided:
+                index = (decided & -decided).bit_length() - 1
+                decided &= decided - 1
+                killed |= kill_masks[index]
+            alive = ((1 << len(self._seed_packs)) - 1) & ~killed
+            cached = (alive, killed)
+            self._seed_live_memo[key] = cached
+        return cached
 
     def _load_packs_for(self, operand: OperandVector) -> List[Pack]:
         key = self.ctx.operand_key_of(operand)
@@ -747,20 +806,20 @@ class BeamSearch:
             result.append(index)
         return result
 
-    def _apply_scalar_fix(self, state: SearchState,
-                          index: int) -> SearchState:
-        inst = self._instructions[index]
+    def _fix_transition(self, state: SearchState,
+                        index: int) -> Tuple[int, int, int, float]:
+        """``(V, S, F, g)`` of the child that fixes instruction ``index``
+        as scalar, without building it."""
         bit = 1 << index
         free_after = state.free_bits & ~bit
-        delta = self.model.scalar_cost(inst)
-        # costinsert(i, V): occurrence lists are per element, so only
+        # costinsert(i, V): occurrence lists are per instruction, so only
         # operands actually containing the instruction are touched.
         mask = state.operand_mask
         occurrences = 0
-        for opbit, count in self._inst_occ.get(id(inst), ()):
+        for opbit, count in self._inst_occ[index]:
             if mask & opbit:
                 occurrences += count
-        delta += self.model.c_insert * occurrences
+        delta = self._scalar_costs[index] + self.model.c_insert * occurrences
         # Only operands whose lanes contain the fixed instruction can
         # become fully decided by this transition.
         new_mask = mask
@@ -771,27 +830,11 @@ class BeamSearch:
             affected ^= opbit
             if not (obits_by_id[opbit.bit_length() - 1] & free_after):
                 new_mask ^= opbit
-
-        opnd_bits = self._inst_opnd_bits.get(index)
-        if opnd_bits is None:
-            opnd_bits = 0
-            dg = self.ctx.dep_graph
-            for op in inst.operands:
-                if dg.contains(op):
-                    opnd_bits |= 1 << dg.index(op)
-            self._inst_opnd_bits[index] = opnd_bits
         # Uses are decided before defs, so every operand of a just-fixed
         # instruction is still free; mask defensively anyway.
-        scalars_after = ((state.scalar_bits & ~bit) | opnd_bits) \
-            & free_after
-
-        return SearchState(
-            new_mask,
-            scalars_after,
-            free_after,
-            state.packs,
-            state.g + delta,
-        )
+        scalars_after = ((state.scalar_bits & ~bit)
+                         | self._inst_opnd_bits[index]) & free_after
+        return new_mask, scalars_after, free_after, state.g + delta
 
     # -- heuristic ----------------------------------------------------------------------
 
@@ -1301,15 +1344,34 @@ def exhaustive_search(search: BeamSearch,
     An iterative depth-first traversal replicating the classic recursive
     formulation's visit order exactly: entry work (node accounting,
     scalar completion, incumbent update) happens when a state is pushed;
-    child pruning — incumbent bound, solved handling, dominance memo —
-    is evaluated lazily against the *evolving* incumbent as each child
-    is popped.  Returns ``(best, proved, nodes)``:
+    child pruning is evaluated lazily against the *evolving* incumbent
+    as each child is popped, in this order:
+
+    1. **g** — ``g`` already meets the incumbent (costs only grow);
+    2. **solved** — a solved child that passed (1) becomes the incumbent;
+    3. **memo** — the identity memo already holds the same ``(V, S, F)``
+       at no greater ``g`` (``beam.exact_tt_hits``);
+    4. **bound** — the provable total ``g + lb`` meets the incumbent
+       (``beam.bound_prunes``); a child that survives is stored in the
+       memo;
+    5. **dominance** — an explored state dominates it (below).
+
+    Returns ``(best, proved, nodes)``:
 
     * ``best`` — the cheapest solved state found; with ``proved`` True
       it is the exact optimum of the transition system.
     * ``proved`` — False when ``node_budget`` stopped the traversal
       first (``best`` is then just the best incumbent).
     * ``nodes`` — states visited.
+
+    Nearly every child is a scalar fix, and most of those are cut by
+    (1)–(4), so fix children are built lazily: a frame holds its
+    parent's pack children (built by :meth:`BeamSearch.transitions`) and
+    the indices of its scalar fixes, a fix's ``(V, S, F, g)`` is
+    computed when it is popped, and its :class:`SearchState` is built
+    only once it passes the g-cut and the memo.  Likewise the completed
+    incumbent is built only when it beats ``best``.  The states entered,
+    their order and every cut are the same as with eager children.
 
     ``incumbent`` (typically the beam's solved state) is the starting
     incumbent, so the result is never worse than it.  The traversal uses a
@@ -1336,6 +1398,7 @@ def exhaustive_search(search: BeamSearch,
     if counters is None:
         counters = NULL_COUNTERS
     lb_total = search.lower_bound().provable_total
+    fix_transition = search._fix_transition
     # Dominance memo: (S, F) -> [(V, obits(V) & F, g)] of explored
     # states, capped per class.
     dom: Dict[Tuple[int, int], List[Tuple]] = {}
@@ -1345,7 +1408,10 @@ def exhaustive_search(search: BeamSearch,
         best = incumbent
     nodes = 0
     proved = True
-    # Stack frames are [children, next-index]; mutated in place.
+    tt_hits = 0
+    bound_prunes = 0
+    # Stack frames are [parent, pack children, fix indices, next-index];
+    # mutated in place.
     stack: List[List] = []
 
     def _enter(state: SearchState) -> bool:
@@ -1353,44 +1419,65 @@ def exhaustive_search(search: BeamSearch,
         if node_budget is not None and nodes >= node_budget:
             return False
         nodes += 1
-        completed = search._complete(state)
-        if completed.g < best.g:
-            best = completed
-        stack.append([search.expand(state), 0])
+        total = state.g + search._scalar_completion(state)
+        if total < best.g:
+            best = SearchState(0, 0, state.free_bits, state.packs, total)
+        stack.append([state, *search.transitions(state), 0])
         return True
 
-    if not _enter(root):
-        return best, False, nodes
-    while stack:
-        frame = stack[-1]
-        children, index = frame
-        if index >= len(children):
-            stack.pop()
-            continue
-        frame[1] = index + 1
-        child = children[index]
-        if child.g >= best.g:
-            continue  # branch and bound: costs only grow
-        if child.solved:
-            best = child  # g < best.g checked above
-            continue
-        total = lb_total(child, child.g)
-        # Sound subtree cut: every completion below costs at least
-        # ceil(g + lb) (totals are integral), and meeting the incumbent
-        # (adoption needs strict <) makes the subtree worthless.
-        if total >= best.g:
-            counters.inc("beam.bound_prunes")
-            continue
-        key = child.identity()
-        seen = memo.get(key)
-        if seen is not None and seen <= child.g:
-            continue
-        memo[key] = child.g
-        if _dominance_cut(search, dom, child, counters):
-            continue
-        if not _enter(child):
-            proved = False
-            break
+    if _enter(root):
+        while stack:
+            frame = stack[-1]
+            parent, children, fixes, index = frame
+            if index < len(children):
+                child = children[index]
+                operand_mask = child.operand_mask
+                scalar_bits = child.scalar_bits
+                free_bits = child.free_bits
+                g = child.g
+            elif index < len(children) + len(fixes):
+                child = None
+                operand_mask, scalar_bits, free_bits, g = fix_transition(
+                    parent, fixes[index - len(children)])
+            else:
+                stack.pop()
+                continue
+            frame[3] = index + 1
+            if g >= best.g:
+                continue  # branch and bound: costs only grow
+            if not operand_mask and not scalar_bits:
+                # Solved, and g < best.g checked above.
+                best = child if child is not None else SearchState(
+                    0, 0, free_bits, parent.packs, g)
+                continue
+            key = (operand_mask, scalar_bits, free_bits)
+            seen = memo.get(key)
+            if seen is not None and seen <= g:
+                tt_hits += 1
+                continue
+            if child is None:
+                child = SearchState(operand_mask, scalar_bits, free_bits,
+                                    parent.packs, g)
+            # Sound subtree cut: every completion below costs at least
+            # ceil(g + lb) (totals are integral), and meeting the
+            # incumbent (adoption needs strict <) makes the subtree
+            # worthless.
+            if lb_total(child, g) >= best.g:
+                bound_prunes += 1
+                continue
+            memo[key] = g
+            if _dominance_cut(search, dom, child, counters):
+                continue
+            if not _enter(child):
+                proved = False
+                break
+    else:
+        proved = False
+    # Counted in locals, so the child loop pays no counter calls.
+    if tt_hits:
+        counters.inc("beam.exact_tt_hits", tt_hits)
+    if bound_prunes:
+        counters.inc("beam.bound_prunes", bound_prunes)
     return best, proved, nodes
 
 

@@ -41,7 +41,7 @@ could attribute to it, with all pack/lane conflicts relaxed away:
 The charge depends on which sets prove the instruction needed, because
 each set guarantees different surcharges.  A lane ``i`` of a live
 operand stays in some live operand until the very transition that
-decides it, and ``_apply_scalar_fix`` charges ``c_insert`` per
+decides it, and ``_fix_transition`` charges ``c_insert`` per
 occurrence in live operands — so an operand lane that ends up scalar
 provably pays the insert on top of its scalar cost.  Likewise a member
 of ``S`` that ends up pack-produced pays ``c_extract`` in
@@ -92,7 +92,7 @@ Exactness of the sums
 Totals are accumulated per 64-bit chunk with memoized chunk subtotals
 (the same discipline as ``SLPCostEstimator.cost_of_bits``) — this is
 what makes the bound incremental under ``_apply_pack`` /
-``_apply_scalar_fix``: a transition flips a handful of bits, so every
+``_fix_transition``: a transition flips a handful of bits, so every
 untouched chunk's subtotal is a dict hit and only changed chunks are
 re-summed.  Chunk-wise association changes float rounding, so when any
 per-instruction charge is not exactly representable (all charges dyadic

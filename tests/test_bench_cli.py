@@ -55,6 +55,28 @@ class TestRunBench:
                 assert phase in result["phases"], phase
             assert result["counters"].get("beam.iterations", 0) >= 1
 
+    def test_verify_and_gap_pass_timings(self, small_bench):
+        """Each cell times its TransVal and gap passes and reports the
+        gap pass's node count; the summary totals both timings."""
+        for result in small_bench["results"]:
+            assert result["verify_s"] > 0
+            assert result["gap_s"] > 0
+            assert result["gap_nodes"] >= 1
+        summary = small_bench["summary"]
+        assert summary["total_verify_s"] == pytest.approx(
+            sum(r["verify_s"] for r in small_bench["results"]), abs=1e-3)
+        assert summary["total_gap_s"] == pytest.approx(
+            sum(r["gap_s"] for r in small_bench["results"]), abs=1e-3)
+
+    def test_disabled_passes_record_no_timings(self):
+        doc = run_bench(kernel_names=["isel_abs_i16"], targets=["sse4"],
+                        beam_width=2, verify=False, gap_node_budget=0)
+        cell = doc["results"][0]
+        for field in ("verify_s", "gap_s", "gap_nodes"):
+            assert field not in cell, field
+        assert "total_verify_s" not in doc["summary"]
+        assert "total_gap_s" not in doc["summary"]
+
     def test_document_is_json_serializable(self, small_bench):
         rebuilt = json.loads(json.dumps(small_bench))
         validate_bench(rebuilt)
@@ -124,6 +146,26 @@ class TestValidateBench:
             del result["program_sha256"]
         validate_bench(doc)  # must not raise
         regressions, _ = compare_bench(doc, small_bench)
+        assert regressions == []
+
+    def test_rejects_malformed_timing_columns(self, small_bench):
+        doc = copy.deepcopy(small_bench)
+        doc["results"][0]["gap_nodes"] = "many"
+        with pytest.raises(ValueError, match="gap_nodes"):
+            validate_bench(doc)
+
+    def test_baseline_without_timing_columns_still_compares_clean(
+            self, small_bench):
+        """The timing columns are additive: a document without them
+        still validates and compares clean against one with them."""
+        old = copy.deepcopy(small_bench)
+        for result in old["results"]:
+            for field in ("verify_s", "gap_s", "gap_nodes"):
+                del result[field]
+        del old["summary"]["total_verify_s"]
+        del old["summary"]["total_gap_s"]
+        validate_bench(old)
+        regressions, _ = compare_bench(old, small_bench)
         assert regressions == []
 
     def test_v1_baseline_without_gap_column_still_loads(self,
@@ -336,10 +378,11 @@ class TestParallelBench:
         view = {k: v for k, v in doc.items()
                 if k not in ("generated_at", "jobs")}
         view["summary"] = {k: v for k, v in doc["summary"].items()
-                           if k != "total_wall_s"}
+                           if k not in ("total_wall_s", "total_verify_s",
+                                        "total_gap_s")}
         view["results"] = [
             {k: v for k, v in cell.items()
-             if k not in ("wall_s", "phases")}
+             if k not in ("wall_s", "phases", "verify_s", "gap_s")}
             for cell in doc["results"]
         ]
         return view

@@ -114,6 +114,30 @@ def test_request_validation_errors(server):
         assert status == 400, payload
         assert needle in doc["message"], payload
 
+    # JSON nested past the decoder's recursion limit (200 KB, well under
+    # the body limit) is a 400 like any other malformed body.
+    async def nested():
+        client = ServeClient(server.host, server.port)
+        await client.connect()
+        try:
+            body = b"[" * 100_000 + b"]" * 100_000
+            head = (
+                f"POST /compile HTTP/1.1\r\n"
+                f"Content-Length: {len(body)}\r\n\r\n"
+            ).encode()
+            client._writer.write(head + body)
+            await client._writer.drain()
+            return await client._read_response()
+        finally:
+            await client.close()
+
+    errors_before = server.metrics()["counters"].get("serve.errors", 0)
+    status, _headers, doc = server.run(nested())
+    assert status == 400
+    assert doc["error"] == "bad-request"
+    assert "nested too deeply" in doc["message"]
+    assert server.metrics()["counters"]["serve.errors"] == errors_before + 1
+
 
 def test_fault_field_rejected_without_allow_faults(server):
     status, _headers, doc = server.compile(source=_C_SRC, fault="crash")
